@@ -409,9 +409,11 @@ def run_landau_linear(spec: ExperimentSpec) -> RateReport:
             return _eps * math.exp(-0.5 * e * e)
 
         horizon = n_steps * grid.dt
+        # the march's own time grid, on which the sources are sampled
+        t_src = np.arange(n_steps + 1) * grid.dt
         vr = volterra_solve(VolterraProblem(
             k=1, nu=nu, delta=0.0,
-            source=lambda tt: free_streaming_source(gauss, tt, 1, nu),
+            source=free_streaming_source(gauss, t_src, 1, nu),
             dt=grid.dt, t_final=horizon), w)
         rho_lin = np.abs(vr.rho)
         scale = float(np.max(rho_lin))
@@ -432,7 +434,7 @@ def run_landau_linear(spec: ExperimentSpec) -> RateReport:
 
         vs = volterra_solve(VolterraProblem(
             k=1, nu=nu, delta=0.0,
-            source=lambda tt: free_streaming_source(slow, tt, 1, nu),
+            source=free_streaming_source(slow, t_src, 1, nu),
             dt=grid.dt, t_final=horizon), w)
         drift = eta_ct(vs.t, 1, nu)
         premult = np.abs(vs.rho) * (1.0 + drift ** 2) ** 4.0

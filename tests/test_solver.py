@@ -9,19 +9,24 @@ equation.  Everything else is structural: exact fixed points, exact
 conservation columns, guard trips.
 """
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import PchipInterpolator
 from scipy.special import roots_hermite
 
 from vpfp.errors import AliasingError, DomainError, StateEscapeError
 from vpfp.grids import PhaseGrid, SpectralField
 from vpfp.linear_theory import (InteractionKernel, VolterraProblem,
                                 free_streaming_source, volterra_solve)
-from vpfp.solver import (HydroMoments, InitialData, Mode, compute_moments,
-                         conserved_quantities, conv_matrix, f_hat_view,
-                         init_state, moment_closure_residuals, nonlinear_rhs,
-                         ou_step, run_simulation, step, transport_step)
+from vpfp.solver import (HydroMoments, InitialData, Mode, _ou_plan,
+                         compute_moments, conserved_quantities, conv_matrix,
+                         f_hat_view, init_state, moment_closure_residuals,
+                         nonlinear_rhs, ou_step, run_simulation, step,
+                         transport_step)
 
 
 def small_grid(k_max=2, eta_max=16.0, n_eta=256):
@@ -183,6 +188,105 @@ class TestOuStep:
                   * np.exp(0.5 * np.expm1(-2 * nu * dt) * eta ** 2))
         err = np.max(np.abs(f.data[g.k_index(1)].real - closed))
         assert err < 1e-8
+
+    # the benchmark lattices (landau, echo, threshold, weighted energy), the
+    # acceptance test_04 lattice, and one whose spacing 1/30 is not a power
+    # of two, so that reassociated arithmetic cannot round alike by luck;
+    # as (k_max, eta_max, n_eta)
+    LATTICES = [(1, 153.25, 2452), (4, 142.0, 1136), (2, 146.0, 584),
+                (2, 64.0, 512), (16, 128.0, 2048), (3, 15.0, 900)]
+
+    @staticmethod
+    def rough_rows(rng, n_rows, n_eta):
+        """Rows with flat zero stretches, sign flips, exact zeros, -0.0 and
+        underflowed tails: every branch of the PCHIP slope rule."""
+        x = np.linspace(-1.0, 1.0, n_eta)
+        y = (rng.standard_normal((n_rows, n_eta))
+             * np.exp(-rng.uniform(5.0, 900.0, (n_rows, 1)) * x ** 2))
+        y[:, n_eta // 5: n_eta // 5 + 25] = 0.0
+        y[:, n_eta // 3: n_eta // 3 + 15] = -0.0
+        y[0, ::7] = -0.0
+        y[1, ::3] *= -1.0
+        y[:, -30:] = 1e-310
+        y[-1] = np.exp(-0.5 * (40.0 * x) ** 2)
+        # -0.0 at eta = 0 between falling slopes, where every Hermite
+        # coefficient is negative: only the power sum's 0.0 seed makes it +0
+        j = n_eta // 2
+        y[2, j - 1: j + 3] = [0.25, -0.0, -1.0, -101.0]
+        return y
+
+    @pytest.mark.parametrize("k_max,eta_max,n_eta", LATTICES)
+    # at 1e-17 the contraction rounds to 1: every point is a breakpoint,
+    # the last one in the closed last interval
+    @pytest.mark.parametrize("nu_dt", [1e-17, 1e-10, 1e-6, 1e-3, 0.3])
+    def test_resampler_matches_scipy_pchip_bit_for_bit(self, k_max, eta_max,
+                                                       n_eta, nu_dt):
+        g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
+                      dt=2.0 * eta_max / n_eta)
+        nu, dt = 1e-2, nu_dt / 1e-2
+        y = self.rough_rows(np.random.default_rng(n_eta), 2 * g.n_k, n_eta)
+        xi = math.exp(-nu * dt) * g.eta
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            want = PchipInterpolator(g.eta, y, axis=1)(xi)
+        got = _ou_plan(g, nu, dt).resample(y)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k_max,eta_max,n_eta", LATTICES[:4])
+    def test_step_matches_per_call_scipy_reference(self, k_max, eta_max, n_eta):
+        # the reference rebuilds three scipy interpolants per call
+        g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
+                      dt=2.0 * eta_max / n_eta)
+        nu, dt = 1e-3, 0.5 * g.dt
+        rng = np.random.default_rng(7)
+        f = SpectralField(grid=g, data=(
+            self.rough_rows(rng, g.n_k, n_eta)
+            + 1j * self.rough_rows(rng, g.n_k, n_eta)))
+        eta = g.eta
+        xi = math.exp(-nu * dt) * eta
+        growth = np.exp(0.5 * np.expm1(-2.0 * nu * dt) * eta ** 2)
+        mu = np.exp(-0.5 * eta ** 2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            p_re = PchipInterpolator(eta, f.data.real, axis=1)(xi)
+            p_im = PchipInterpolator(eta, f.data.imag, axis=1)(xi)
+            p_mu = PchipInterpolator(eta, mu)(xi)
+        want = ((p_re + 1j * p_im) * growth
+                + f.data[:, g.i_zero][:, None] * (mu - p_mu * growth)[None, :])
+        ou_step(f, nu, dt)
+        assert f.data.tobytes() == want.tobytes()
+
+    def test_plan_keyed_on_whole_grid(self):
+        a = small_grid(eta_max=16.0, n_eta=256)
+        b = small_grid(eta_max=8.0, n_eta=256)
+        pa, pb = _ou_plan(a, 0.1, 0.05), _ou_plan(b, 0.1, 0.05)
+        assert pa is not pb
+        assert not np.array_equal(pa.resample.s, pb.resample.s)
+        assert not np.array_equal(pa.growth, pb.growth)
+        assert _ou_plan(small_grid(eta_max=16.0, n_eta=256), 0.1, 0.05) is pa
+
+    def test_plan_arrays_read_only(self):
+        plan = _ou_plan(small_grid(), 0.1, 0.05)
+        arrays = [plan.growth, plan.defect] + [
+            getattr(plan.resample, f.name) for f in fields(plan.resample)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_cached_plan_gives_same_bytes(self):
+        g = small_grid()
+        rng = np.random.default_rng(5)
+        data = (self.rough_rows(rng, g.n_k, g.n_eta)
+                + 1j * self.rough_rows(rng, g.n_k, g.n_eta))
+        nu, dt = 0.37, 0.0625   # a key no other test uses: first call builds
+        start = _ou_plan.cache_info()
+        f1 = SpectralField(grid=g, data=data.copy())
+        ou_step(f1, nu, dt)
+        built = _ou_plan.cache_info()
+        f2 = SpectralField(grid=g, data=data.copy())
+        ou_step(f2, nu, dt)
+        reused = _ou_plan.cache_info()
+        assert built.misses == start.misses + 1
+        assert reused.hits == built.hits + 1
+        assert f1.data.tobytes() == f2.data.tobytes()
 
     @pytest.mark.parametrize("j,tol", [(1, 5e-7), (2, 5e-6)])
     def test_hermite_profile_decay_rates(self, j, tol):
@@ -511,6 +615,23 @@ class TestConservationRun:
         assert res.times.shape == (5,)
         assert res.rho.shape == (5, g.n_k)
         assert res.times[-1] == pytest.approx(10 * g.dt)
+
+    def test_recorded_conserved_quantities_are_those_of_the_states(self):
+        # the records reuse step's measurements; replay and measure directly
+        g = small_grid(k_max=1, eta_max=16.0, n_eta=128)
+        w = coulomb(1)
+        f, _ = init_state(InitialData(eps=1e-2, modes=(Mode(1, 1.0),)), g, w)
+        replay = f.copy()
+        res = run_simulation(f, 1e-2, w, 7, mode="full", output_stride=3)
+        want = [conserved_quantities(replay, w)]
+        for i in range(1, 8):
+            step(replay, 1e-2, w, "full")
+            if i % 3 == 0 or i == 7:
+                want.append(conserved_quantities(replay, w))
+        assert res.mass.tolist() == [c.mass for c in want]
+        assert res.momentum.tolist() == [c.momentum for c in want]
+        assert res.kinetic_energy.tolist() == [c.kinetic_energy for c in want]
+        assert res.field_energy.tolist() == [c.field_energy for c in want]
 
     def test_linear_regime_matches_volterra(self):
         # full nonlinear solver against the independently discretized
