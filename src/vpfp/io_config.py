@@ -27,7 +27,7 @@ from .multiplier import NormSpec
 
 CHECKPOINT_MAGIC = b"VPFPCKPT"
 CHECKPOINT_VERSION = 1
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 _KERNEL_CHOICES = ("coulomb", "screened", "custom")
 
 # grid alignment tolerance, relative to dt
@@ -57,21 +57,13 @@ class RunConfig:
     norm_s: float = 4.0
     norm_c: float = 0.025
     norm_m: int = 2
-    norm_delta: float = 0.05
-    norm_delta1: float = 0.025
-    norm_sigma: float = 4.0
     norm_beta: float = 2.0
-    norm_p: float = 6.0
-    norm_theta: float = 1.5
-    norm_m_prime: int = 7
 
     nu_list: tuple = ()
-    eps_list: tuple = ()
     k_list: tuple = (1, 2, 4)
     t_final: float = 0.0
     fit_t_min: float = 0.0
     fit_t_max: float = 0.0
-    output_stride: int = 1
     workers: int = 1
 
     mode_k: int = 1
@@ -95,11 +87,7 @@ class RunConfig:
                          n_eta=self.n_eta, dt=self.dt)
 
     def norm_spec(self) -> NormSpec:
-        return NormSpec(s=self.norm_s, c=self.norm_c, m=self.norm_m,
-                        delta=self.norm_delta, delta1=self.norm_delta1,
-                        sigma=self.norm_sigma, beta=self.norm_beta,
-                        p=self.norm_p, theta=self.norm_theta,
-                        m_prime=self.norm_m_prime)
+        return NormSpec(s=self.norm_s, c=self.norm_c, m=self.norm_m)
 
     def kernel_object(self, k_max=None) -> InteractionKernel:
         span = self.k_max if k_max is None else k_max
@@ -135,24 +123,14 @@ _SCHEMA = {
     "norm_s": ("float", lambda v: 0.0 <= v <= 64.0, "in [0, 64]"),
     "norm_c": ("float", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "norm_m": ("int", lambda v: 0 <= v <= 32, "an integer in [0, 32]"),
-    "norm_delta": ("float", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "norm_delta1": ("float", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "norm_sigma": ("float", lambda v: 0.0 <= v <= 64.0, "in [0, 64]"),
     "norm_beta": ("float", lambda v: 0.0 <= v <= 64.0, "in [0, 64]"),
-    "norm_p": ("float", lambda v: 6.0 <= v <= 64.0, "in [6, 64]"),
-    "norm_theta": ("float", lambda v: 1.0 < v < 2.0, "in (1, 2)"),
-    "norm_m_prime": ("int", lambda v: 0 <= v <= 64, "an integer in [0, 64]"),
     "nu_list": ("float_list", lambda v: all(0.0 < x <= 10.0 for x in v),
                 "a list of values in (0, 10]"),
-    "eps_list": ("float_list", lambda v: all(0.0 <= x <= 10.0 for x in v),
-                 "a list of values in [0, 10]"),
     "k_list": ("int_list", lambda v: all(1 <= x <= 64 for x in v),
                "a list of integers in [1, 64]"),
     "t_final": ("float", lambda v: 0.0 <= v <= 1e7, "in [0, 1e7]"),
     "fit_t_min": ("float", lambda v: 0.0 <= v <= 1e7, "in [0, 1e7]"),
     "fit_t_max": ("float", lambda v: 0.0 <= v <= 1e7, "in [0, 1e7]"),
-    "output_stride": ("int", lambda v: 1 <= v <= 1_000_000,
-                      "an integer in [1, 1e6]"),
     "workers": ("int", lambda v: 1 <= v <= 256, "an integer in [1, 256]"),
     "mode_k": ("int", lambda v: v != 0 and abs(v) <= 64,
                "a nonzero integer with |k| <= 64"),
@@ -263,10 +241,6 @@ def _validate_cross(cfg: RunConfig, lines: dict) -> None:
     if "k_list" in lines and any(k > cfg.k_max for k in cfg.k_list):
         raise ConfigError(
             f"{where('k_list')}: entries must not exceed k_max = {cfg.k_max}")
-    try:
-        cfg.norm_spec()
-    except DomainError as exc:
-        raise ConfigError(f"norm parameters are inconsistent: {exc}") from None
 
 
 def _format_value(kind: str, val) -> str:
@@ -409,29 +383,26 @@ def read_manifest(path) -> dict:
     return doc
 
 
-def codec_checkpoint(field, path, direction: str):
-    """Save or load a SpectralField snapshot, bit-exactly.
+def checkpoint_save(field, path) -> None:
+    """Write a SpectralField snapshot, bit-exactly.
 
     Layout: magic, u32 version, u32 header length, JSON header (grid
     parameters and time), then the complex128 rows little-endian.
-    direction = "save" writes `field` to `path`; "load" ignores `field`
-    and returns the stored SpectralField.
     """
-    if direction == "save":
-        g = field.grid
-        header = json.dumps({
-            "k_max": g.k_max, "eta_max": g.eta_max, "n_eta": g.n_eta,
-            "dt": g.dt, "time": field.time,
-        }, sort_keys=True).encode("utf-8")
-        body = np.ascontiguousarray(field.data, dtype="<c16").tobytes()
-        payload = (CHECKPOINT_MAGIC
-                   + struct.pack("<II", CHECKPOINT_VERSION, len(header))
-                   + header + body)
-        _atomic_write_bytes(path, payload)
-        return None
-    if direction != "load":
-        raise DomainError("direction must be 'save' or 'load'")
+    g = field.grid
+    header = json.dumps({
+        "k_max": g.k_max, "eta_max": g.eta_max, "n_eta": g.n_eta,
+        "dt": g.dt, "time": field.time,
+    }, sort_keys=True).encode("utf-8")
+    body = np.ascontiguousarray(field.data, dtype="<c16").tobytes()
+    payload = (CHECKPOINT_MAGIC
+               + struct.pack("<II", CHECKPOINT_VERSION, len(header))
+               + header + body)
+    _atomic_write_bytes(path, payload)
 
+
+def checkpoint_load(path) -> SpectralField:
+    """Read back a checkpoint_save snapshot; malformed files raise ConfigError."""
     blob = Path(path).read_bytes()
     pre = len(CHECKPOINT_MAGIC) + 8
     if len(blob) < pre or blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -442,12 +413,17 @@ def codec_checkpoint(field, path, direction: str):
                           f"(expected {CHECKPOINT_VERSION})")
     if len(blob) < pre + hlen:
         raise ConfigError(f"{path}: short read in checkpoint header")
+    # a header of the wrong JSON type, or holding values of the wrong
+    # type, fails with TypeError; a float k_max or n_eta would pass
+    # PhaseGrid and only fail in the reshape below
     try:
         header = json.loads(blob[pre:pre + hlen].decode("utf-8"))
+        if not (_is_int(header["k_max"]) and _is_int(header["n_eta"])):
+            raise ValueError("k_max and n_eta must be integers")
         grid = PhaseGrid(k_max=header["k_max"], eta_max=header["eta_max"],
                          n_eta=header["n_eta"], dt=header["dt"])
         time = float(header["time"])
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: bad checkpoint header: {exc}") from None
     want = grid.n_k * grid.n_eta * 16
     body = blob[pre + hlen:]
@@ -455,16 +431,7 @@ def codec_checkpoint(field, path, direction: str):
         raise ConfigError(f"{path}: short read in checkpoint body "
                           f"({len(body)} of {want} bytes)")
     data = np.frombuffer(body, dtype="<c16").reshape(grid.n_k, grid.n_eta)
-    out = SpectralField(grid=grid, data=data.astype(np.complex128), time=time)
-    return out
-
-
-def checkpoint_save(field, path) -> None:
-    codec_checkpoint(field, path, "save")
-
-
-def checkpoint_load(path) -> SpectralField:
-    return codec_checkpoint(None, path, "load")
+    return SpectralField(grid=grid, data=data.astype(np.complex128), time=time)
 
 
 def resolve_out_dir(arg_out) -> Path:

@@ -102,7 +102,7 @@ def kernel_K0(dt, k: int, nu: float, delta: float, w: InteractionKernel):
     dt_a = np.asarray(dt, dtype=float)
     if np.any(dt_a < 0.0):
         raise DomainError("elapsed time must be nonnegative")
-    t_tilde = dt_a * _one_minus_exp_ratio(nu * dt_a)
+    t_tilde = dt_a * _phi1(nu * dt_a)
     expo = (delta * nu ** (1.0 / 3.0) * dt_a
             + s_density_exponent(dt_a, k, nu)
             - 0.5 * (k * t_tilde) ** 2)
@@ -110,11 +110,6 @@ def kernel_K0(dt, k: int, nu: float, delta: float, w: InteractionKernel):
     if np.ndim(dt) == 0:
         return float(out)
     return out
-
-
-def _one_minus_exp_ratio(x):
-    """(1 - exp(-x)) / x, safe at 0."""
-    return _phi1(x)
 
 
 @dataclass

@@ -12,10 +12,9 @@ bracket and a slow exponential to form the working weight
     A(t, k, eta) = exp(c nu^(1/3) t) <k, eta>^s M(t, k, eta)      (k != 0)
     A(t, 0, eta) = <eta>^s,
 
-with <k, eta> = (1 + k^2 + eta^2)^(1/2).  The norm family layered on top
-adds velocity-moment ladders (norm_f, norm_d), a pure coefficient norm for
-reaction kernels (norm_mcal), and an unweighted Sobolev-moment norm used for
-low-depth bookkeeping (norm_h, norm_sobolev_moment).
+with <k, eta> = (1 + k^2 + eta^2)^(1/2).  The norms layered on top are the
+A-weighted velocity-moment ladders (norm_f, norm_d) and an unweighted
+Sobolev-moment norm that sizes initial data (norm_sobolev_moment).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from ._quad import adaptive_simpson_batch
 from .errors import DomainError
 from .grids import PhaseGrid, SpectralField
 from .reports import BoundReport
-from .semigroup import _phi1, eta_ct
+from .semigroup import _phi1
 
 # Quadrature tolerance for the multiplier exponent.
 _M_RTOL = 1e-10
@@ -48,31 +47,17 @@ def _k_alpha(alpha: int) -> float:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Parameter block of the weighted norm family.
+    """Parameters of the weighted norms norm_f and norm_d.
 
     Attributes:
         s: regularity exponent of the bracket weight.
         c: rate of the slow exponential growth factor, in units of nu^(1/3).
-        m: depth of the velocity-moment ladder in norm_f / norm_d.
-        delta, delta1: density decay rates used by downstream consumers;
-            delta1 < delta is required so premultiplied densities stay summable.
-        sigma: regularity of the initial-data norm.
-        beta: regularity of the low norm, beta < sigma.
-        p: power of the critical-trace weight in kernel diagnostics, >= 6.
-        theta: time-weight exponent of norm_h, in (1, 2).
-        m_prime: moment budget of norm_h, >= m.
+        m: depth of the velocity-moment ladder.
     """
 
     s: float = 4.0
     c: float = 0.025
     m: int = 2
-    delta: float = 0.05
-    delta1: float = 0.025
-    sigma: float = 4.0
-    beta: float = 2.0
-    p: float = 6.0
-    theta: float = 1.5
-    m_prime: int = 7
 
     def __post_init__(self):
         if self.s < 0:
@@ -81,16 +66,6 @@ class NormSpec:
             raise DomainError("growth rate c must be nonnegative")
         if self.m < 0 or self.m != int(self.m):
             raise DomainError("ladder depth m must be a nonnegative integer")
-        if not self.delta1 < self.delta:
-            raise DomainError("delta1 must be strictly below delta")
-        if not self.beta < self.sigma:
-            raise DomainError("beta must be strictly below sigma")
-        if self.p < 6.0:
-            raise DomainError("kernel weight power p must be at least 6")
-        if not 1.0 < self.theta < 2.0:
-            raise DomainError("theta must lie in (1, 2)")
-        if self.m_prime < self.m:
-            raise DomainError("moment budget m_prime must be at least m")
 
 
 def _m_integrand(k, eta, nu):
@@ -203,13 +178,7 @@ def _a_matrix(grid: PhaseGrid, spec: NormSpec, nu: float, t: float) -> np.ndarra
     eta = grid.eta
     out = np.empty((grid.n_k, grid.n_eta))
     for k in grid.k_values:
-        i = grid.k_index(int(k))
-        if k == 0:
-            out[i] = (1.0 + eta * eta) ** (spec.s / 2.0)
-        else:
-            m_row = m_eval_grid(t, float(k), eta, nu)
-            out[i] = (np.exp(spec.c * nu ** (1.0 / 3.0) * t)
-                      * bracket(float(k), eta) ** spec.s * m_row)
+        out[grid.k_index(int(k))] = a_weight(t, int(k), eta, nu, spec)
     return out
 
 
@@ -255,24 +224,6 @@ def norm_d(field: SpectralField, spec: NormSpec, nu: float,
     return math.sqrt(_ladder_norm_sq(field, spec, nu, t, w))
 
 
-def norm_mcal(q_hat: np.ndarray, grid: PhaseGrid, spec: NormSpec, nu: float,
-              t: float) -> float:
-    """Coefficient norm on the critical trace.
-
-    norm^2 = sum_{k != 0} A(t, k, k t)^2 |q_hat(k)|^2 for a vector of
-    per-mode coefficients indexed like grid.k_values.
-    """
-    q = np.asarray(q_hat)
-    if q.shape != (grid.n_k,):
-        raise DomainError(f"coefficient vector must have shape ({grid.n_k},)")
-    k = grid.k_values.astype(float)
-    nz = k != 0.0
-    m_vals = m_eval_grid(t, k[nz], k[nz] * t, nu)
-    a_vals = (np.exp(spec.c * nu ** (1.0 / 3.0) * t)
-              * bracket(k[nz], k[nz] * t) ** spec.s * m_vals)
-    return float(np.sqrt(np.sum((a_vals * np.abs(q[nz])) ** 2)))
-
-
 def norm_sobolev_moment(field: SpectralField, s: float, q: int) -> float:
     """Unweighted Sobolev-moment norm of regularity s and moment budget q.
 
@@ -290,36 +241,6 @@ def norm_sobolev_moment(field: SpectralField, s: float, q: int) -> float:
     for i in range(int(q) + 1):
         total += (math.comb(int(q), i)
                   * float(np.sum(weight * np.abs(derivs[i]) ** 2)) * grid.d_eta)
-    return math.sqrt(total)
-
-
-def norm_h(field: SpectralField, spec: NormSpec,
-           t: float | None = None) -> float:
-    """Low-depth hydrodynamic bookkeeping norm.
-
-    norm^2 = sum_{alpha + gamma <= 3} <t>^(-2 theta gamma)
-             sum_{i <= q} C(q, i) sum_k |k|^(2 alpha)
-             int |(i d/d_eta)^i [(i eta)^gamma h]|^2 d_eta,   q = m_prime - alpha.
-    """
-    if t is None:
-        t = field.time
-    grid = field.grid
-    _check_norm_input(field, spec.m_prime)
-    t_brack = math.sqrt(1.0 + t * t)
-    eta = grid.eta[None, :]
-    kk = np.abs(grid.k_values[:, None].astype(float))
-    total = 0.0
-    for gamma in range(4):
-        weighted = (1j * eta) ** gamma * field.data
-        q_max = spec.m_prime
-        derivs = _eta_derivative_stack(weighted, grid.d_eta, q_max)
-        for alpha in range(4 - gamma):
-            q = max(spec.m_prime - alpha, 0)
-            moment_sq = np.zeros(field.data.shape)
-            for i in range(q + 1):
-                moment_sq += math.comb(q, i) * np.abs(derivs[i]) ** 2
-            term = float(np.sum(kk ** (2 * alpha) * moment_sq)) * grid.d_eta
-            total += t_brack ** (-2.0 * spec.theta * gamma) * term
     return math.sqrt(total)
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,26 +35,3 @@ class FitResult:
     r_squared: float
     flat: bool = False
 
-
-def _to_jsonable(obj: Any) -> Any:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        try:
-            return obj.item()
-        except (AttributeError, ValueError):
-            pass
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    return obj
-
-
-def report_to_json(report: Any, indent: int = 2) -> str:
-    """Serialize any report dataclass to deterministic JSON text."""
-    return json.dumps(_to_jsonable(report), indent=indent, sort_keys=True)

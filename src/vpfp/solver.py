@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     AliasingError,
@@ -47,9 +46,8 @@ from .errors import (
     StateEscapeError,
 )
 from .grids import PhaseGrid, SpectralField
-from .linear_theory import InteractionKernel
+from .linear_theory import InteractionKernel, mu_hat
 from .multiplier import norm_sobolev_moment
-from .semigroup import bar_eta
 
 # Positivity floor for the reconstructed density and temperature profiles.
 POSITIVITY_FLOOR = 0.5
@@ -66,10 +64,6 @@ _CLOSURE_MAX_ITER = 256
 _X_OVERSAMPLE = 4
 
 _MODES = ("full", "linear", "free")
-
-
-def _mu_row(grid: PhaseGrid) -> np.ndarray:
-    return np.exp(-0.5 * grid.eta ** 2)
 
 
 def conv_matrix(coeffs: np.ndarray) -> np.ndarray:
@@ -115,16 +109,20 @@ class HydroMoments:
     sup_rho: float
 
 
-def _eta_stencils(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    """Fourth-order first and second eta-derivatives of each row at eta = 0."""
-    g = field.grid
-    d = field.data
+def _eta_stencils(d: np.ndarray, g: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Fourth-order first and second eta-derivatives at eta = 0 of data
+    whose last axis is the grid's eta."""
     j = g.i_zero
     h = g.d_eta
-    d1 = (d[:, j - 2] - 8.0 * d[:, j - 1] + 8.0 * d[:, j + 1] - d[:, j + 2]) / (12.0 * h)
-    d2 = (-d[:, j - 2] + 16.0 * d[:, j - 1] - 30.0 * d[:, j]
-          + 16.0 * d[:, j + 1] - d[:, j + 2]) / (12.0 * h * h)
+    d1 = (d[..., j - 2] - 8.0 * d[..., j - 1] + 8.0 * d[..., j + 1] - d[..., j + 2]) / (12.0 * h)
+    d2 = (-d[..., j - 2] + 16.0 * d[..., j - 1] - 30.0 * d[..., j]
+          + 16.0 * d[..., j + 1] - d[..., j + 2]) / (12.0 * h * h)
     return d1, d2
+
+
+def _kernel_row(grid: PhaseGrid, w: InteractionKernel) -> np.ndarray:
+    """w(k) on each lattice row; the k = 0 row carries no force."""
+    return np.array([w(int(k)) if k != 0 else 0.0 for k in grid.k_values])
 
 
 def _closure_solve(rho_mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -149,7 +147,7 @@ def compute_moments(field: SpectralField, w: InteractionKernel,
             drops to zeta or below.
     """
     g = field.grid
-    d1, d2 = _eta_stencils(field)
+    d1, d2 = _eta_stencils(field.data, g)
     rho = field.data[:, g.i_zero].copy()
     m1 = 1j * d1
     m2 = -d2
@@ -172,8 +170,7 @@ def compute_moments(field: SpectralField, w: InteractionKernel,
         raise StateEscapeError(
             f"temperature profile dropped to the positivity floor {zeta}")
     kf = k_vals.astype(float)
-    wk = np.array([w(int(k)) if k != 0 else 0.0 for k in k_vals])
-    e_field = -1j * kf * wk * rho
+    e_field = -1j * kf * _kernel_row(g, w) * rho
     return HydroMoments(rho=rho, m1=m1, m2=m2, u=u, m_t=m_t, T=temp,
                         e_field=e_field, sup_rho=sup_rho)
 
@@ -207,14 +204,14 @@ def conserved_quantities(field: SpectralField, w: InteractionKernel) -> Conserve
     kinetic = pi (1 + Re M2(0)); field = pi sum_k k^2 w(k)^2 |rho(k)|^2.
     """
     g = field.grid
-    d1, d2 = _eta_stencils(field)
+    d1, d2 = _eta_stencils(field.data, g)
     i0 = g.k_index(0)
     mass = 2.0 * math.pi * float(field.data[i0, g.i_zero].real)
     momentum = 2.0 * math.pi * float((1j * d1[i0]).real)
     kinetic = math.pi * (1.0 + float((-d2[i0]).real))
     rho = field.data[:, g.i_zero]
     kf = g.k_values.astype(float)
-    wk = np.array([w(int(k)) if k != 0 else 0.0 for k in g.k_values])
+    wk = _kernel_row(g, w)
     field_e = math.pi * float(np.sum((kf * wk) ** 2 * np.abs(rho) ** 2))
     return ConservedQuantities(mass=mass, momentum=momentum,
                                kinetic_energy=kinetic, field_energy=field_e)
@@ -325,32 +322,24 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
     if defect > 1e-10 * max(float(np.max(np.abs(f.data))), 1e-300):
         raise InvariantError(f"raw datum breaks reality symmetry by {defect:.3e}")
 
-    mu = _mu_row(grid)
+    mu = mu_hat(eta)
     i0k = grid.k_index(0)
-    j0 = grid.i_zero
-    h = grid.d_eta
-
-    def sten1(row):
-        return (row[j0 - 2] - 8.0 * row[j0 - 1] + 8.0 * row[j0 + 1] - row[j0 + 2]) / (12.0 * h)
-
-    def sten2(row):
-        return (-row[j0 - 2] + 16.0 * row[j0 - 1] - 30.0 * row[j0]
-                + 16.0 * row[j0 + 1] - row[j0 + 2]) / (12.0 * h * h)
-
     # 1. mass
-    mass_defect = complex(f.data[i0k, j0])
+    mass_defect = complex(f.data[i0k, grid.i_zero])
     f.data[i0k] -= mass_defect * mu
     report["mass_removed"] = mass_defect
     # 2. momentum (odd imaginary profile, stencil-exact)
     r_prof = 1j * eta * mu
-    c1 = complex(sten1(f.data[i0k])) / complex(sten1(r_prof))
+    r_d1, _ = _eta_stencils(r_prof, grid)
+    c1 = complex(_eta_stencils(f.data[i0k], grid)[0]) / complex(r_d1)
     f.data[i0k] -= c1 * r_prof
-    report["momentum_removed"] = complex(2.0 * math.pi * (1j * c1 * sten1(r_prof)).real)
+    report["momentum_removed"] = complex(2.0 * math.pi * (1j * c1 * r_d1).real)
     # 3. energy (even profile, stencil-exact second moment)
     q_prof = eta ** 2 * mu
     cons = conserved_quantities(f, w)
     m2_target = -cons.field_energy / math.pi
-    c2 = -(complex(sten2(f.data[i0k])) + m2_target) / complex(sten2(q_prof))
+    _, q_d2 = _eta_stencils(q_prof, grid)
+    c2 = -(complex(_eta_stencils(f.data[i0k], grid)[1]) + m2_target) / complex(q_d2)
     f.data[i0k] += c2 * q_prof
     report["energy_shift"] = float(c2.real)
     f.enforce_reality(check=True)
@@ -502,7 +491,7 @@ def _ou_plan(grid: PhaseGrid, nu: float, dt: float) -> _OUPlan:
     eta = grid.eta
     resample = _ContractedPchip.build(eta, math.exp(-nu * dt) * eta)
     growth = np.exp(0.5 * np.expm1(-2.0 * nu * dt) * eta ** 2)
-    mu = _mu_row(grid)
+    mu = mu_hat(eta)
     defect = mu - resample(mu[None, :])[0] * growth
     return _OUPlan(resample, _read_only(growth), _read_only(defect))
 
@@ -546,7 +535,7 @@ def _rhs_full(field: SpectralField, m: HydroMoments,
     dh = np.zeros_like(d)
     dh[:, 2:-2] = (d[:, :-4] - 8.0 * d[:, 1:-3] + 8.0 * d[:, 3:-1]
                    - d[:, 4:]) / (12.0 * g.d_eta)
-    mu = _mu_row(g)[None, :]
+    mu = mu_hat(eta)
     with_bg = d.copy()
     with_bg[g.k_index(0)] += mu[0]
     e_mat = conv_matrix(m.e_field)
@@ -563,19 +552,9 @@ def _rhs_linear(field: SpectralField, w: InteractionKernel) -> np.ndarray:
     g = field.grid
     rho = field.data[:, g.i_zero]
     kf = g.k_values.astype(float)
-    wk = np.array([w(int(k)) if k != 0 else 0.0 for k in g.k_values])
-    e = -1j * kf * wk * rho
-    return -np.outer(e, 1j * g.eta * _mu_row(g))
-
-
-def nonlinear_rhs(field: SpectralField, moments: HydroMoments,
-                  grid: PhaseGrid, nu: float) -> np.ndarray:
-    """Coupling tendency handled by the RK4 substeps: the self-consistent
-    force acting on mu + h plus nu times the moment-feedback corrections.
-    Transport and drift-diffusion are excluded; they have exact sub-flows."""
-    if grid != field.grid:
-        raise DomainError("moments and field must share one grid")
-    return _rhs_full(field, moments, nu)
+    e = -1j * kf * _kernel_row(g, w) * rho
+    eta = g.eta
+    return -np.outer(e, 1j * eta * mu_hat(eta))
 
 
 def _rk4_substep(field: SpectralField, nu: float, w: InteractionKernel,
@@ -643,29 +622,6 @@ def step(field: SpectralField, nu: float, w: InteractionKernel,
         before=before,
         after=after,
     )
-
-
-def f_hat_view(field: SpectralField, nu: float, k: int, w_points) -> np.ndarray:
-    """Read-only mixed-variable view of one row.
-
-    The unmixed state relates to the mixed transform by evaluation along
-    the characteristic: f(t, k, w) = h(t, k, bar_eta(t; k, w)).  Points
-    whose characteristic leaves the window read 0.
-    """
-    g = field.grid
-    w_arr = np.atleast_1d(np.asarray(w_points, dtype=float))
-    q = bar_eta(field.time, k, w_arr, nu)
-    row = field.data[g.k_index(k)]
-    inside = (q >= g.eta[0]) & (q <= g.eta[-1])
-    out = np.zeros(w_arr.shape, dtype=complex)
-    if np.any(inside):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            pr = PchipInterpolator(g.eta, row.real)(q[inside])
-            pi = PchipInterpolator(g.eta, row.imag)(q[inside])
-        out[inside] = pr + 1j * pi
-    if np.ndim(w_points) == 0:
-        return out[0]
-    return out
 
 
 @dataclass

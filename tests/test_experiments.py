@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vpfp.errors import DomainError, HorizonError
+from vpfp.errors import ConfigError, DomainError, HorizonError
 from vpfp.experiments import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
@@ -363,6 +363,19 @@ class TestOutputs:
         path = tmp_path / "manifest.json"
         write_manifest(RunConfig(), {"note": "no experiment recorded"}, path)
         with pytest.raises(DomainError):
+            rerun_from_manifest(path)
+
+    def test_rerun_refuses_version_1_manifest(self, tmp_path):
+        # version 1 manifests hash a config text with keys that no longer
+        # exist, so a rerun cannot reproduce their identity
+        from vpfp.io_config import write_manifest
+        path = tmp_path / "manifest.json"
+        write_manifest(RunConfig(), {"experiment": "echo"}, path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError,
+                           match="manifest version 1 unsupported"):
             rerun_from_manifest(path)
 
     def test_in_memory_run_writes_nothing(self, tmp_path, monkeypatch):

@@ -3,15 +3,17 @@ idempotent and hash-stable, writers are atomic, checkpoints are bit-exact."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from vpfp.errors import ConfigError, DomainError
 from vpfp.grids import PhaseGrid, SpectralField
-from vpfp.io_config import (OutputLock, RunConfig, canonical_text,
+from vpfp.io_config import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                            OutputLock, RunConfig, canonical_text,
                             checkpoint_load, checkpoint_save,
-                            codec_checkpoint, config_hash, format_float,
+                            config_hash, format_float,
                             parse_config, read_csv, read_manifest,
                             resolve_out_dir, write_csv, write_manifest)
 
@@ -83,9 +85,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="fit window is empty"):
             parse_config("fit_t_min = 5\nfit_t_max = 2\n")
 
-    def test_norm_inconsistency_is_config_error(self):
-        with pytest.raises(ConfigError, match="norm parameters"):
-            parse_config("norm_delta1 = 0.5\nnorm_delta = 0.1\n")
+    @pytest.mark.parametrize("key", [
+        "eps_list", "output_stride", "norm_delta", "norm_delta1",
+        "norm_sigma", "norm_p", "norm_theta", "norm_m_prime"])
+    def test_removed_key_is_unknown(self, key):
+        # keys no driver read were dropped from the schema
+        with pytest.raises(ConfigError, match=f"line 2: unknown key `{key}`"):
+            parse_config(f"nu = 1e-3\n{key} = 1\n")
 
 
 class TestCanonicalText:
@@ -221,9 +227,20 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="short read"):
             checkpoint_load(path)
 
-    def test_bad_direction_rejected(self, tmp_path):
-        with pytest.raises(DomainError):
-            codec_checkpoint(self.make_field(), tmp_path / "x", "sideways")
+    @pytest.mark.parametrize("header", [
+        b'{"dt": 0.25, "eta_max": 8.0, "k_max": "2", "n_eta": 64, "time": 0.0}',
+        b'{"dt": 0.25, "eta_max": 8.0, "k_max": 2.5, "n_eta": 64, "time": 0.0}',
+        b'[1, 2, 3]',
+        b'{"dt": 0.25, "eta_max": 8.0, "k_max": 3, "n_eta": 64, "time": null}',
+    ])
+    def test_malformed_header_is_config_error(self, tmp_path, header):
+        path = tmp_path / "x.ckpt"
+        # the body has the size k_max = 2.5 implies: 6 rows of 64
+        path.write_bytes(CHECKPOINT_MAGIC
+                         + struct.pack("<II", CHECKPOINT_VERSION, len(header))
+                         + header + bytes(6 * 64 * 16))
+        with pytest.raises(ConfigError, match="bad checkpoint header"):
+            checkpoint_load(path)
 
 
 class TestOutputPaths:
