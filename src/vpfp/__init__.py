@@ -36,6 +36,7 @@ from .solver import (
     Mode,
     compute_moments,
     conserved_quantities,
+    f_hat_view,
     init_state,
     run_simulation,
     step,
@@ -69,7 +70,7 @@ __all__ = [
     "InteractionKernel", "VolterraProblem", "fit_decay_rate",
     "free_streaming_source", "penrose_scan", "volterra_solve",
     "InitialData", "Mode", "compute_moments", "conserved_quantities",
-    "init_state", "run_simulation", "step",
+    "f_hat_view", "init_state", "run_simulation", "step",
     "RunConfig", "canonical_text", "checkpoint_load", "checkpoint_save",
     "config_hash", "parse_config", "read_csv", "read_manifest",
     "write_csv", "write_manifest",

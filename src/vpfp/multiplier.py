@@ -13,8 +13,9 @@ bracket and a slow exponential to form the working weight
     A(t, 0, eta) = <eta>^s,
 
 with <k, eta> = (1 + k^2 + eta^2)^(1/2).  The norms layered on top are the
-A-weighted velocity-moment ladders (norm_f, norm_d) and an unweighted
-Sobolev-moment norm that sizes initial data (norm_sobolev_moment).
+A-weighted velocity-moment ladders (norm_f, norm_d), a pure coefficient norm
+for reaction kernels (norm_mcal), and unweighted Sobolev-moment norms for
+initial data and low-depth bookkeeping (norm_sobolev_moment, norm_h).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _k_alpha(alpha: int) -> float:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Parameters of the weighted norms norm_f and norm_d.
+    """Parameters of the A-weighted norms norm_f, norm_d and norm_mcal.
 
     Attributes:
         s: regularity exponent of the bracket weight.
@@ -60,10 +61,10 @@ class NormSpec:
     m: int = 2
 
     def __post_init__(self):
-        if self.s < 0:
-            raise DomainError("regularity s must be nonnegative")
-        if self.c < 0:
-            raise DomainError("growth rate c must be nonnegative")
+        if not 0.0 <= self.s < math.inf:
+            raise DomainError("regularity s must be finite and nonnegative")
+        if not 0.0 <= self.c < math.inf:
+            raise DomainError("growth rate c must be finite and nonnegative")
         if self.m < 0 or self.m != int(self.m):
             raise DomainError("ladder depth m must be a nonnegative integer")
 
@@ -224,6 +225,21 @@ def norm_d(field: SpectralField, spec: NormSpec, nu: float,
     return math.sqrt(_ladder_norm_sq(field, spec, nu, t, w))
 
 
+def norm_mcal(q_hat: np.ndarray, grid: PhaseGrid, spec: NormSpec, nu: float,
+              t: float) -> float:
+    """Coefficient norm on the critical trace.
+
+    norm^2 = sum_{k != 0} A(t, k, k t)^2 |q_hat(k)|^2 for a vector of
+    per-mode coefficients indexed like grid.k_values.
+    """
+    q = np.asarray(q_hat)
+    if q.shape != (grid.n_k,):
+        raise DomainError(f"coefficient vector must have shape ({grid.n_k},)")
+    a_vals = np.array([a_weight(t, int(k), float(k) * t, nu, spec) if k != 0
+                       else 0.0 for k in grid.k_values])
+    return float(np.sqrt(np.sum((a_vals * np.abs(q)) ** 2)))
+
+
 def norm_sobolev_moment(field: SpectralField, s: float, q: int) -> float:
     """Unweighted Sobolev-moment norm of regularity s and moment budget q.
 
@@ -241,6 +257,42 @@ def norm_sobolev_moment(field: SpectralField, s: float, q: int) -> float:
     for i in range(int(q) + 1):
         total += (math.comb(int(q), i)
                   * float(np.sum(weight * np.abs(derivs[i]) ** 2)) * grid.d_eta)
+    return math.sqrt(total)
+
+
+def norm_h(field: SpectralField, spec: NormSpec, t: float | None = None,
+           theta: float = 1.5, m_prime: int = 7) -> float:
+    """Low-depth hydrodynamic bookkeeping norm.
+
+    norm^2 = sum_{alpha + gamma <= 3} <t>^(-2 theta gamma)
+             sum_{i <= q} C(q, i) sum_k |k|^(2 alpha)
+             int |(i d/d_eta)^i [(i eta)^gamma h]|^2 d_eta,   q = m_prime - alpha,
+
+    with time-weight exponent theta in (1, 2) and moment budget
+    m_prime >= spec.m.
+    """
+    if not 1.0 < theta < 2.0:
+        raise DomainError("theta must lie in (1, 2)")
+    if m_prime < spec.m:
+        raise DomainError("moment budget m_prime must be at least m")
+    if t is None:
+        t = field.time
+    grid = field.grid
+    _check_norm_input(field, m_prime)
+    t_brack = math.sqrt(1.0 + t * t)
+    eta = grid.eta[None, :]
+    kk = np.abs(grid.k_values[:, None].astype(float))
+    total = 0.0
+    for gamma in range(4):
+        weighted = (1j * eta) ** gamma * field.data
+        derivs = _eta_derivative_stack(weighted, grid.d_eta, m_prime)
+        for alpha in range(4 - gamma):
+            q = max(m_prime - alpha, 0)
+            moment_sq = np.zeros(field.data.shape)
+            for i in range(q + 1):
+                moment_sq += math.comb(q, i) * np.abs(derivs[i]) ** 2
+            term = float(np.sum(kk ** (2 * alpha) * moment_sq)) * grid.d_eta
+            total += t_brack ** (-2.0 * theta * gamma) * term
     return math.sqrt(total)
 
 

@@ -340,3 +340,69 @@ def check_propS_bounds(
         failures=failures,
     )
 
+
+def check_moment_weights(
+    p: float = 0.5,
+    k_values=(1, 2, 4),
+    nu_values=(1e-5, 1e-4, 1e-3),
+    n_t: int = 400,
+) -> BoundReport:
+    """Bound the moment-generation weights of the critical-trace semigroup.
+
+    Two families are maximized over elapsed time dt:
+
+      first  = s_density(dt,k)^p * |k|   * expm1(-nu dt)^2 / (2 nu^2)
+      second = s_density(dt,k)^p * |k|^2 * expm1(-nu dt)^4 / (8 nu^4)
+
+    The report records nu^(2/3) * first and nu * second.  The first scaling
+    is uniform in nu (ratio across nu_values near 1); the second is reported
+    but NOT uniform, its true growth is an extra nu^(-1/3), and the
+    uniformity ratio in the details documents that.
+
+    Args:
+        p: weight power in (0, 1].
+        k_values: nonzero modes.
+        nu_values: collision frequencies.
+        n_t: log-spaced samples of dt per cell.
+
+    Returns:
+        BoundReport; constants carry the global maxima, details the per-nu
+        tables and uniformity ratios.
+    """
+    if not 0.0 < p <= 1.0:
+        raise DomainError("weight power p must lie in (0, 1]")
+    if any(k == 0 for k in k_values):
+        raise DomainError("bounds are stated for spatial modes k != 0")
+    first_by_nu: dict[float, float] = {}
+    second_by_nu: dict[float, float] = {}
+    for nu in nu_values:
+        scale = nu ** (-1.0 / 3.0)
+        dt = np.concatenate([[0.0], np.geomspace(1e-2 * scale, 30.0 * scale, n_t)])
+        f_max = 0.0
+        s_max = 0.0
+        for k in k_values:
+            e = s_density_exponent(dt, k, nu)
+            em = np.expm1(-nu * dt)
+            first = np.exp(p * e) * abs(k) * em ** 2 / (2.0 * nu ** 2)
+            second = np.exp(p * e) * k * k * em ** 4 / (8.0 * nu ** 4)
+            f_max = max(f_max, float(np.max(nu ** (2.0 / 3.0) * first)))
+            s_max = max(s_max, float(np.max(nu * second)))
+        first_by_nu[nu] = f_max
+        second_by_nu[nu] = s_max
+    f_vals = list(first_by_nu.values())
+    s_vals = list(second_by_nu.values())
+    first_ratio = max(f_vals) / max(min(f_vals), 1e-300)
+    second_ratio = max(s_vals) / max(min(s_vals), 1e-300)
+    return BoundReport(
+        name="moment_weights",
+        satisfied=all(np.isfinite(v) for v in f_vals + s_vals),
+        constants={
+            "first_weight_max": max(f_vals),
+            "second_weight_max": max(s_vals),
+            "first_uniformity_ratio": float(first_ratio),
+            "second_uniformity_ratio": float(second_ratio),
+            "p": float(p),
+        },
+        details={"first_by_nu": first_by_nu, "second_by_nu": second_by_nu,
+                 "k_values": list(k_values), "nu_values": list(nu_values)},
+    )

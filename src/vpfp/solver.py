@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     AliasingError,
@@ -48,6 +49,7 @@ from .errors import (
 from .grids import PhaseGrid, SpectralField
 from .linear_theory import InteractionKernel, mu_hat
 from .multiplier import norm_sobolev_moment
+from .semigroup import bar_eta
 
 # Positivity floor for the reconstructed density and temperature profiles.
 POSITIVITY_FLOOR = 0.5
@@ -622,6 +624,29 @@ def step(field: SpectralField, nu: float, w: InteractionKernel,
         before=before,
         after=after,
     )
+
+
+def f_hat_view(field: SpectralField, nu: float, k: int, w_points) -> np.ndarray:
+    """Read-only mixed-variable view of one row.
+
+    The unmixed state relates to the mixed transform by evaluation along
+    the characteristic: f(t, k, w) = h(t, k, bar_eta(t; k, w)).  Points
+    whose characteristic leaves the window read 0.
+    """
+    g = field.grid
+    w_arr = np.atleast_1d(np.asarray(w_points, dtype=float))
+    q = bar_eta(field.time, k, w_arr, nu)
+    row = field.data[g.k_index(k)]
+    inside = (q >= g.eta[0]) & (q <= g.eta[-1])
+    out = np.zeros(w_arr.shape, dtype=complex)
+    if np.any(inside):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pr = PchipInterpolator(g.eta, row.real)(q[inside])
+            pi = PchipInterpolator(g.eta, row.imag)(q[inside])
+        out[inside] = pr + 1j * pi
+    if np.ndim(w_points) == 0:
+        return out[0]
+    return out
 
 
 @dataclass

@@ -20,6 +20,8 @@ from vpfp.multiplier import (
     m_exponent_grid,
     norm_d,
     norm_f,
+    norm_h,
+    norm_mcal,
     norm_sobolev_moment,
 )
 from vpfp.semigroup import bar_eta, eta_ct
@@ -113,6 +115,8 @@ class TestNormSpec:
         {"c": -0.1},
         {"m": -1},
         {"m": 1.5},
+        {"s": float("nan")},
+        {"c": float("inf")},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(DomainError):
@@ -207,6 +211,28 @@ class TestNormD:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+class TestNormMcal:
+    def test_zero_mode_excluded(self):
+        grid = small_grid(k_max=3)
+        q = np.zeros(grid.n_k, dtype=complex)
+        q[grid.k_index(0)] = 5.0
+        assert norm_mcal(q, grid, NormSpec(), 1e-3, 1.0) == 0.0
+
+    def test_band_within_factor_two(self):
+        grid = PhaseGrid(k_max=8, eta_max=16.0, n_eta=128, dt=0.25)
+        k = grid.k_values.astype(float)
+        q = np.where(k != 0, 1.0 / bracket(k, 0.0) ** 4, 0.0).astype(complex)
+        spec = NormSpec()
+        nu, t = 1e-3, 2.0
+        got = norm_mcal(q, grid, spec, nu, t)
+        nz = k != 0
+        bare = math.sqrt(float(np.sum(
+            (math.exp(spec.c * nu ** (1.0 / 3.0) * t)
+             * bracket(k[nz], k[nz] * t) ** spec.s
+             * np.abs(q[nz])) ** 2)))
+        assert 0.5 * bare <= got <= bare
+
+
 class TestNormSobolevMoment:
     def test_gaussian_zero_mode(self):
         grid = small_grid(eta_max=24.0, n_eta=512)
@@ -215,6 +241,35 @@ class TestNormSobolevMoment:
         got = norm_sobolev_moment(f, s=0.0, q=0)
         want = math.sqrt(np.sum(np.exp(-grid.eta ** 2)) * grid.d_eta)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestNormH:
+    def test_gaussian_moment_table(self):
+        # k = 0 Gaussian row with zero moment budget: only the alpha = 0
+        # column survives and each gamma contributes a Gaussian moment.
+        grid = small_grid(eta_max=24.0, n_eta=1024)
+        f = SpectralField.zeros(grid)
+        f.data[grid.k_index(0)] = np.exp(-grid.eta ** 2 / 2.0)
+        got = norm_h(f, NormSpec(m=0), t=0.0, m_prime=0)
+        want = math.sqrt(math.sqrt(math.pi) * (1.0 + 0.5 + 0.75 + 15.0 / 8.0))
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_time_weight_decreases(self):
+        grid = small_grid()
+        f = SpectralField.zeros(grid)
+        f.data[grid.k_index(1)] = np.exp(-grid.eta ** 2 / 2.0)
+        f.data[grid.k_index(-1)] = np.exp(-grid.eta ** 2 / 2.0)
+        spec = NormSpec()
+        assert norm_h(f, spec, t=10.0) < norm_h(f, spec, t=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"theta": 2.5},                  # outside (1, 2)
+        {"m_prime": 1},                  # budget below ladder depth m = 2
+    ])
+    def test_rejects_invalid(self, kwargs):
+        grid = small_grid()
+        with pytest.raises(DomainError):
+            norm_h(SpectralField.zeros(grid), NormSpec(), **kwargs)
 
 
 class TestCheckPropM:

@@ -24,8 +24,9 @@ from vpfp.linear_theory import (InteractionKernel, VolterraProblem,
                                 free_streaming_source, volterra_solve)
 from vpfp.solver import (HydroMoments, InitialData, Mode, _ou_plan,
                          _rhs_full, compute_moments, conserved_quantities,
-                         conv_matrix, init_state, moment_closure_residuals,
-                         ou_step, run_simulation, step, transport_step)
+                         conv_matrix, f_hat_view, init_state,
+                         moment_closure_residuals, ou_step, run_simulation,
+                         step, transport_step)
 
 
 def small_grid(k_max=2, eta_max=16.0, n_eta=256):
@@ -647,3 +648,30 @@ class TestConservationRun:
         num = np.max(np.abs(rho_solver[:n] - np.abs(vres.rho[:n])))
         den = np.max(np.abs(vres.rho[:n]))
         assert num / den < 0.05
+
+
+class TestFHatView:
+    def test_free_streaming_mixed_view_is_stationary(self):
+        g = PhaseGrid(k_max=2, eta_max=24.0, n_eta=192, dt=0.25)
+        w = coulomb(2)
+        f, _ = init_state(InitialData(eps=0.1, modes=(Mode(1, 1.0, 0.0, 2.0),)), g, w)
+        w_pts = g.eta[60:120]
+        v0 = f_hat_view(f, 0.0, 1, w_pts)
+        for _ in range(20):
+            step(f, 0.0, w, "free")
+        v1 = f_hat_view(f, 0.0, 1, w_pts)
+        assert np.array_equal(v0, v1)
+
+    def test_scalar_input_returns_scalar(self):
+        g = small_grid()
+        f = SpectralField.zeros(g)
+        f.data[g.k_index(1)] = np.exp(-g.eta ** 2 / 2)
+        out = f_hat_view(f, 1e-3, 1, 0.5)
+        assert np.ndim(out) == 0
+
+    def test_out_of_window_reads_zero(self):
+        g = small_grid()
+        f = SpectralField.zeros(g)
+        f.data[g.k_index(1)] = np.exp(-g.eta ** 2 / 2)
+        f.time = 100.0  # bar point far outside the lattice
+        assert f_hat_view(f, 1e-3, 1, 0.0) == 0.0
