@@ -41,6 +41,10 @@ _NORM_BOUNDARY = 1e-12
 # Cap on the derivative ladder depth accepted by the weighted norms.
 _MAX_LADDER = 8
 
+# Time-weight exponent (in (1, 2)) and moment budget of norm_h.
+_H_THETA = 1.5
+_H_M_PRIME = 7
+
 # Moment-ladder normalizer K_alpha = 4^alpha.
 def _k_alpha(alpha: int) -> float:
     return 4.0 ** alpha
@@ -129,22 +133,15 @@ def bracket(k, eta):
     return np.sqrt(1.0 + k_a * k_a + eta_a * eta_a)
 
 
-def a_weight(t: float, k: int, eta, nu: float, spec: NormSpec,
-             m_value=None):
-    """Working weight A(t, k, eta); vectorized over eta.
-
-    Args:
-        m_value: optional precomputed multiplier values matching eta, used
-            by the norm loops to avoid requadrature.
-    """
+def a_weight(t: float, k: int, eta, nu: float, spec: NormSpec):
+    """Working weight A(t, k, eta); vectorized over eta."""
     eta_a = np.asarray(eta, dtype=float)
     if k == 0:
         out = (1.0 + eta_a * eta_a) ** (spec.s / 2.0)
     else:
-        if m_value is None:
-            m_value = m_eval_grid(t, float(k), eta_a, nu)
         out = (np.exp(spec.c * nu ** (1.0 / 3.0) * t)
-               * bracket(k, eta_a) ** spec.s * m_value)
+               * bracket(k, eta_a) ** spec.s
+               * m_eval_grid(t, float(k), eta_a, nu))
     if np.ndim(eta) == 0:
         return float(out)
     return out
@@ -235,9 +232,12 @@ def norm_mcal(q_hat: np.ndarray, grid: PhaseGrid, spec: NormSpec, nu: float,
     q = np.asarray(q_hat)
     if q.shape != (grid.n_k,):
         raise DomainError(f"coefficient vector must have shape ({grid.n_k},)")
-    a_vals = np.array([a_weight(t, int(k), float(k) * t, nu, spec) if k != 0
-                       else 0.0 for k in grid.k_values])
-    return float(np.sqrt(np.sum((a_vals * np.abs(q)) ** 2)))
+    k = grid.k_values.astype(float)
+    nz = k != 0.0
+    m_vals = m_eval_grid(t, k[nz], k[nz] * t, nu)
+    a_vals = (np.exp(spec.c * nu ** (1.0 / 3.0) * t)
+              * bracket(k[nz], k[nz] * t) ** spec.s * m_vals)
+    return float(np.sqrt(np.sum((a_vals * np.abs(q[nz])) ** 2)))
 
 
 def norm_sobolev_moment(field: SpectralField, s: float, q: int) -> float:
@@ -260,39 +260,33 @@ def norm_sobolev_moment(field: SpectralField, s: float, q: int) -> float:
     return math.sqrt(total)
 
 
-def norm_h(field: SpectralField, spec: NormSpec, t: float | None = None,
-           theta: float = 1.5, m_prime: int = 7) -> float:
+def norm_h(field: SpectralField, t: float | None = None) -> float:
     """Low-depth hydrodynamic bookkeeping norm.
 
     norm^2 = sum_{alpha + gamma <= 3} <t>^(-2 theta gamma)
              sum_{i <= q} C(q, i) sum_k |k|^(2 alpha)
              int |(i d/d_eta)^i [(i eta)^gamma h]|^2 d_eta,   q = m_prime - alpha,
 
-    with time-weight exponent theta in (1, 2) and moment budget
-    m_prime >= spec.m.
+    with theta = _H_THETA and m_prime = _H_M_PRIME.
     """
-    if not 1.0 < theta < 2.0:
-        raise DomainError("theta must lie in (1, 2)")
-    if m_prime < spec.m:
-        raise DomainError("moment budget m_prime must be at least m")
     if t is None:
         t = field.time
     grid = field.grid
-    _check_norm_input(field, m_prime)
+    _check_norm_input(field, _H_M_PRIME)
     t_brack = math.sqrt(1.0 + t * t)
     eta = grid.eta[None, :]
     kk = np.abs(grid.k_values[:, None].astype(float))
     total = 0.0
     for gamma in range(4):
         weighted = (1j * eta) ** gamma * field.data
-        derivs = _eta_derivative_stack(weighted, grid.d_eta, m_prime)
+        derivs = _eta_derivative_stack(weighted, grid.d_eta, _H_M_PRIME)
         for alpha in range(4 - gamma):
-            q = max(m_prime - alpha, 0)
+            q = max(_H_M_PRIME - alpha, 0)
             moment_sq = np.zeros(field.data.shape)
             for i in range(q + 1):
                 moment_sq += math.comb(q, i) * np.abs(derivs[i]) ** 2
             term = float(np.sum(kk ** (2 * alpha) * moment_sq)) * grid.d_eta
-            total += t_brack ** (-2.0 * theta * gamma) * term
+            total += t_brack ** (-2.0 * _H_THETA * gamma) * term
     return math.sqrt(total)
 
 

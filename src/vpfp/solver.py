@@ -270,16 +270,6 @@ class InitialData:
                     "reality partner is implied, list each pair once")
             seen.add(mo.k)
 
-    def h_hat(self, k: int, eta: float) -> complex:
-        """Datum value before projections, including implied partners."""
-        out = 0.0 + 0.0j
-        for mo in self.modes:
-            if mo.k == k:
-                out += mo.amp * math.exp(-(eta - mo.center) ** 2 / (2 * mo.width ** 2))
-            if -mo.k == k:
-                out += np.conj(mo.amp) * math.exp(-(eta + mo.center) ** 2 / (2 * mo.width ** 2))
-        return complex(out)
-
 
 def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tuple[SpectralField, dict]:
     """Build the initial lattice state and project onto the constraint set.

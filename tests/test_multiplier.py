@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import quad
 from scipy.special import roots_hermite
 
 from vpfp.errors import DomainError
 from vpfp.grids import PhaseGrid, SpectralField
 from vpfp.multiplier import (
+    _H_M_PRIME,
+    _H_THETA,
     NormSpec,
     a_weight,
     bracket,
@@ -245,31 +248,28 @@ class TestNormSobolevMoment:
 
 class TestNormH:
     def test_gaussian_moment_table(self):
-        # k = 0 Gaussian row with zero moment budget: only the alpha = 0
-        # column survives and each gamma contributes a Gaussian moment.
-        grid = small_grid(eta_max=24.0, n_eta=1024)
+        # k = 0 Gaussian row: only the alpha = 0 column survives.  By
+        # Parseval, sum_i C(q, i) int |d^i (eta^gamma G)|^2 equals
+        # int (1 + w^2)^q He_gamma(w)^2 e^(-w^2) dw, which Gauss-Hermite
+        # quadrature integrates exactly.
+        grid = small_grid(eta_max=24.0, n_eta=512)
         f = SpectralField.zeros(grid)
         f.data[grid.k_index(0)] = np.exp(-grid.eta ** 2 / 2.0)
-        got = norm_h(f, NormSpec(m=0), t=0.0, m_prime=0)
-        want = math.sqrt(math.sqrt(math.pi) * (1.0 + 0.5 + 0.75 + 15.0 / 8.0))
-        assert got == pytest.approx(want, rel=1e-10)
+        t = 1.0
+        w, wq = roots_hermite(20)
+        total = 0.0
+        for gamma in range(4):
+            he = hermeval(w, [0.0] * gamma + [1.0])
+            total += ((1.0 + t * t) ** (-_H_THETA * gamma)
+                      * np.sum(wq * (1.0 + w * w) ** _H_M_PRIME * he ** 2))
+        assert norm_h(f, t=t) == pytest.approx(math.sqrt(total), rel=1e-10)
 
     def test_time_weight_decreases(self):
         grid = small_grid()
         f = SpectralField.zeros(grid)
         f.data[grid.k_index(1)] = np.exp(-grid.eta ** 2 / 2.0)
         f.data[grid.k_index(-1)] = np.exp(-grid.eta ** 2 / 2.0)
-        spec = NormSpec()
-        assert norm_h(f, spec, t=10.0) < norm_h(f, spec, t=0.0)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"theta": 2.5},                  # outside (1, 2)
-        {"m_prime": 1},                  # budget below ladder depth m = 2
-    ])
-    def test_rejects_invalid(self, kwargs):
-        grid = small_grid()
-        with pytest.raises(DomainError):
-            norm_h(SpectralField.zeros(grid), NormSpec(), **kwargs)
+        assert norm_h(f, t=10.0) < norm_h(f, t=0.0)
 
 
 class TestCheckPropM:
