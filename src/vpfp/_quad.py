@@ -20,6 +20,10 @@ from .errors import NumericError
 # than this are processed in chunks to bound memory.
 _EVAL_BUDGET = 2 ** 25
 
+# Starting panel count (even) and the cap past which a batch gives up.
+_N0 = 8
+_MAX_PANELS = 2 ** 20
+
 
 def _simpson_row(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Composite Simpson sum along the last axis. values has odd length n+1."""
@@ -34,8 +38,6 @@ def adaptive_simpson_batch(
     a: np.ndarray,
     b: np.ndarray,
     rtol: float,
-    n0: int = 8,
-    max_panels: int = 2 ** 20,
 ) -> np.ndarray:
     """Integrate f over [a[i], b[i]] for every batch element i.
 
@@ -46,9 +48,9 @@ def adaptive_simpson_batch(
         a, b: 1-d arrays of integration limits, b >= a elementwise.
         rtol: relative tolerance on each integral, judged by the change
             under panel doubling (Richardson factor 15 applied).
-        n0: starting panel count (must be even).
-        max_panels: panel cap; exceeding it raises NumericError reporting
-            the worst achieved relative error.
+
+    Every element starts on _N0 panels.  Past _MAX_PANELS panels the batch
+    raises NumericError reporting the worst achieved relative error.
 
     Returns:
         1-d array of integral values.
@@ -63,9 +65,7 @@ def adaptive_simpson_batch(
     if active.size == 0:
         return result
     prev = np.full(m, np.nan)
-    n = int(n0)
-    if n % 2:
-        n += 1
+    n = _N0
     while True:
         chunk = max(1, _EVAL_BUDGET // (n + 1))
         vals = np.empty(active.size)
@@ -85,9 +85,9 @@ def adaptive_simpson_batch(
         if active.size == 0:
             return result
         n *= 2
-        if n > max_panels:
+        if n > _MAX_PANELS:
             worst = np.max(err[~done] / np.maximum(np.abs(vals[~done]), 1e-300))
             raise NumericError(
-                f"quadrature did not converge within {max_panels} panels; "
+                f"quadrature did not converge within {_MAX_PANELS} panels; "
                 f"worst relative change {worst:.3e} (target {rtol:.1e})"
             )

@@ -881,8 +881,7 @@ def rerun_from_manifest(manifest_path, out_dir: str = ""):
     rerun into a fresh directory reproduces every CSV byte for byte.
     """
     doc = read_manifest(manifest_path)
-    results = doc.get("results", {})
-    kind = results.get("experiment")
+    kind = doc["results"].get("experiment")
     if kind not in EXPERIMENT_KINDS:
         raise DomainError(f"manifest does not name a known experiment, "
                           f"got {kind!r}")

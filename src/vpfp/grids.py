@@ -106,9 +106,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(grid=self.grid, data=self.data.copy(), time=self.time)
 
-    def row(self, k: int) -> np.ndarray:
-        return self.data[self.grid.k_index(k)]
-
     def _mirror(self) -> np.ndarray:
         """conj(data(-k, -eta)) resampled onto the lattice.
 
@@ -124,27 +121,35 @@ class SpectralField:
         """Max deviation from the reality symmetry, absolute."""
         return float(np.max(np.abs(self.data - self._mirror())))
 
-    def enforce_reality(self, check: bool = True) -> None:
-        """Average the state with its mirror; error out on structural drift."""
-        defect = self.reality_defect()
+    def enforce_reality(self) -> float:
+        """Average the state with its mirror; error out on structural drift.
+
+        Returns the reality defect measured before the averaging.
+        """
+        mirror = self._mirror()
+        defect = float(np.max(np.abs(self.data - mirror)))
         scale = float(np.max(np.abs(self.data)))
-        if check and scale > 0 and defect > REALITY_DRIFT_LIMIT * scale:
+        if scale > 0 and defect > REALITY_DRIFT_LIMIT * scale:
             raise InvariantError(
                 f"reality symmetry drift {defect:.3e} exceeds "
                 f"{REALITY_DRIFT_LIMIT:g} of the field scale {scale:.3e}")
-        self.data = 0.5 * (self.data + self._mirror())
+        self.data = 0.5 * (self.data + mirror)
+        return defect
 
     def boundary_amplitude(self) -> float:
         """Largest magnitude on the two outermost columns of each side."""
         edges = np.concatenate([self.data[:, :2].ravel(), self.data[:, -2:].ravel()])
         return float(np.max(np.abs(edges)))
 
-    def check_boundary(self) -> None:
+    def check_boundary(self) -> float:
+        """Edge-to-peak amplitude ratio, 0.0 for a zero state; raises
+        AliasingError above the sentinel."""
         scale = float(np.max(np.abs(self.data)))
         if scale == 0.0:
-            return
+            return 0.0
         edge = self.boundary_amplitude()
         if edge > BOUNDARY_SENTINEL * scale:
             raise AliasingError(
                 f"boundary amplitude {edge:.3e} exceeds {BOUNDARY_SENTINEL:g} "
                 f"of the field scale {scale:.3e}; enlarge eta_max")
+        return edge / scale

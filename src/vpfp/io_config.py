@@ -118,8 +118,8 @@ _SCHEMA = {
     "eps": ("float", lambda v: 0.0 <= v <= 10.0, "in [0, 10]"),
     "kernel": ("str", lambda v: v in _KERNEL_CHOICES,
                "one of coulomb, screened, custom"),
-    "kernel_table": ("float_list", lambda v: all(x >= 0.0 for x in v),
-                     "a list of weights >= 0"),
+    "kernel_table": ("float_list", lambda v: all(0.0 <= x < np.inf for x in v),
+                     "a list of finite weights >= 0"),
     "norm_s": ("float", lambda v: 0.0 <= v <= 64.0, "in [0, 64]"),
     "norm_c": ("float", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "norm_m": ("int", lambda v: 0 <= v <= 32, "an integer in [0, 32]"),
@@ -374,12 +374,16 @@ def read_manifest(path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid manifest JSON: {exc}") from None
-    if doc.get("format") != "vpfp-manifest":
+    if not isinstance(doc, dict) or doc.get("format") != "vpfp-manifest":
         raise ConfigError(f"{path}: not a manifest file")
     if doc.get("version") != MANIFEST_VERSION:
         raise ConfigError(
             f"{path}: manifest version {doc.get('version')} unsupported "
             f"(expected {MANIFEST_VERSION})")
+    if not isinstance(doc.get("config"), str):
+        raise ConfigError(f"{path}: manifest has no config text")
+    if not isinstance(doc.get("results"), dict):
+        raise ConfigError(f"{path}: manifest results are not an object")
     return doc
 
 

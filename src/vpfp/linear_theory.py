@@ -88,7 +88,7 @@ class InteractionKernel:
             table={k: 1.0 / (1.0 + k * k) for k in range(-k_max, k_max + 1) if k != 0})
 
     @staticmethod
-    def none(k_max: int = 64) -> "InteractionKernel":
+    def none() -> "InteractionKernel":
         return InteractionKernel(label="none", table={})
 
 

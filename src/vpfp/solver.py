@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     AliasingError,
@@ -49,7 +48,6 @@ from .errors import (
 from .grids import PhaseGrid, SpectralField
 from .linear_theory import InteractionKernel, mu_hat
 from .multiplier import norm_sobolev_moment
-from .semigroup import bar_eta
 
 # Positivity floor for the reconstructed density and temperature profiles.
 POSITIVITY_FLOOR = 0.5
@@ -82,10 +80,9 @@ def conv_matrix(coeffs: np.ndarray) -> np.ndarray:
     return pad[(idx[:, None] - idx[None, :]) + n - 1]
 
 
-def x_profile(coeffs: np.ndarray, k_values: np.ndarray,
-              oversample: int = _X_OVERSAMPLE) -> np.ndarray:
+def x_profile(coeffs: np.ndarray, k_values: np.ndarray) -> np.ndarray:
     """Real spatial profile sum_k coeffs(k) e^(i k x) on a uniform x grid."""
-    n_x = oversample * coeffs.shape[0]
+    n_x = _X_OVERSAMPLE * coeffs.shape[0]
     x = 2.0 * np.pi * np.arange(n_x) / n_x
     vals = np.exp(1j * np.outer(x, k_values)) @ coeffs
     return vals.real
@@ -139,14 +136,13 @@ def _closure_solve(rho_mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarra
     raise NumericError(f"{what} closure iteration failed to converge")
 
 
-def compute_moments(field: SpectralField, w: InteractionKernel,
-                    zeta: float = POSITIVITY_FLOOR) -> HydroMoments:
+def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
     """Hydrodynamic readouts with regime guards.
 
     Raises:
         StateEscapeError: when sup_x |rho(x)| >= 0.5 (closure series
             diverges) or the reconstructed density or temperature profile
-            drops to zeta or below.
+            drops to POSITIVITY_FLOOR or below.
     """
     g = field.grid
     d1, d2 = _eta_stencils(field.data, g)
@@ -160,17 +156,17 @@ def compute_moments(field: SpectralField, w: InteractionKernel,
         raise StateEscapeError(
             f"density profile reached sup {sup_rho:.3g} >= {CLOSURE_SUP_BOUND}; "
             "the moment closure no longer converges")
-    if float(np.min(1.0 + rho_x)) <= zeta:
+    if float(np.min(1.0 + rho_x)) <= POSITIVITY_FLOOR:
         raise StateEscapeError(
-            f"density profile dropped to the positivity floor {zeta}")
+            f"density profile dropped to the positivity floor {POSITIVITY_FLOOR}")
     rho_mat = conv_matrix(rho)
     u = _closure_solve(rho_mat, m1, "velocity")
     m_t = m2 - conv_matrix(m1) @ u
     temp = _closure_solve(rho_mat, m_t, "temperature")
     temp_x = x_profile(temp, k_vals)
-    if float(np.min(1.0 + temp_x)) <= zeta:
+    if float(np.min(1.0 + temp_x)) <= POSITIVITY_FLOOR:
         raise StateEscapeError(
-            f"temperature profile dropped to the positivity floor {zeta}")
+            f"temperature profile dropped to the positivity floor {POSITIVITY_FLOOR}")
     kf = k_vals.astype(float)
     e_field = -1j * kf * _kernel_row(g, w) * rho
     return HydroMoments(rho=rho, m1=m1, m2=m2, u=u, m_t=m_t, T=temp,
@@ -334,7 +330,7 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
     c2 = -(complex(_eta_stencils(f.data[i0k], grid)[1]) + m2_target) / complex(q_d2)
     f.data[i0k] += c2 * q_prof
     report["energy_shift"] = float(c2.real)
-    f.enforce_reality(check=True)
+    f.enforce_reality()
     scale_now = float(np.max(np.abs(f.data)))
     if scale_now > 0 and f.boundary_amplitude() > 1e-12 * scale_now:
         raise AliasingError("initial datum is not below 1e-12 of its peak at "
@@ -347,12 +343,11 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
     return f, report
 
 
-def transport_step(field: SpectralField, dt_steps: int = 1) -> None:
+def transport_step(field: SpectralField) -> None:
     """Exact shear transport h(k, eta) <- h(k, eta + k dt) as column shifts.
 
-    dt_steps is the number of unit shifts (k columns each); one call per
-    time step.  Raises AliasingError when the amplitude falling off the
-    window is significant.
+    Row k shifts by k columns; one call per time step.  Raises AliasingError
+    when the amplitude falling off the window is significant.
     """
     g = field.grid
     n = g.n_eta
@@ -362,7 +357,7 @@ def transport_step(field: SpectralField, dt_steps: int = 1) -> None:
         if k == 0:
             continue
         i = g.k_index(int(k))
-        shift = int(k) * dt_steps
+        shift = int(k)
         row = field.data[i]
         if shift > 0:
             dropped_sq += float(np.sum(np.abs(row[:shift]) ** 2))
@@ -598,57 +593,27 @@ def step(field: SpectralField, nu: float, w: InteractionKernel,
     if not np.all(np.isfinite(field.data)):
         raise StateEscapeError("state left the representable range (non-finite "
                                "amplitudes); the run has blown up")
-    defect = field.reality_defect()
-    field.enforce_reality(check=True)
-    field.check_boundary()
+    defect = field.enforce_reality()
+    edge_ratio = field.check_boundary()
     field.time += dt
     after = conserved_quantities(field, w)
-    scale = float(np.max(np.abs(field.data)))
-    edge = field.boundary_amplitude()
     return StepDiagnostics(
         mass_drift=after.mass - before.mass,
         momentum_drift=after.momentum - before.momentum,
         energy_drift=after.total_energy - before.total_energy,
         reality_defect=defect,
-        boundary_ratio=edge / scale if scale > 0 else 0.0,
+        boundary_ratio=edge_ratio,
         before=before,
         after=after,
     )
 
 
-def f_hat_view(field: SpectralField, nu: float, k: int, w_points) -> np.ndarray:
-    """Read-only mixed-variable view of one row.
-
-    The unmixed state relates to the mixed transform by evaluation along
-    the characteristic: f(t, k, w) = h(t, k, bar_eta(t; k, w)).  Points
-    whose characteristic leaves the window read 0.
-    """
-    g = field.grid
-    w_arr = np.atleast_1d(np.asarray(w_points, dtype=float))
-    q = bar_eta(field.time, k, w_arr, nu)
-    row = field.data[g.k_index(k)]
-    inside = (q >= g.eta[0]) & (q <= g.eta[-1])
-    out = np.zeros(w_arr.shape, dtype=complex)
-    if np.any(inside):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            pr = PchipInterpolator(g.eta, row.real)(q[inside])
-            pi = PchipInterpolator(g.eta, row.imag)(q[inside])
-        out[inside] = pr + 1j * pi
-    if np.ndim(w_points) == 0:
-        return out[0]
-    return out
-
-
 @dataclass
 class RunResult:
-    """Time series collected by run_simulation at the output stride."""
+    """Time series collected by run_simulation at every step."""
 
     times: np.ndarray
     rho: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    u: np.ndarray
-    T: np.ndarray
     e_field: np.ndarray
     mass: np.ndarray
     momentum: np.ndarray
@@ -658,37 +623,28 @@ class RunResult:
     max_momentum_drift: float
     max_reality_defect: float
     final: SpectralField
-    meta: dict = dc_field(default_factory=dict)
 
 
 def run_simulation(field: SpectralField, nu: float, w: InteractionKernel,
-                   n_steps: int, mode: str = "full",
-                   output_stride: int = 1) -> RunResult:
+                   n_steps: int, mode: str = "full") -> RunResult:
     """March n_steps from the given state, collecting moment series.
 
-    The initial instant is always recorded; afterwards every output_stride-th
-    step is.  Per-step conservation drifts are tracked at every step.
+    The initial instant and the state after every step are recorded, along
+    with the per-step conservation drifts.
     """
     if n_steps < 1:
         raise DomainError("need at least one step")
-    if output_stride < 1:
-        raise DomainError("output stride must be positive")
-    g = field.grid
     times = []
-    series: dict[str, list] = {k: [] for k in
-                               ("rho", "m1", "m2", "u", "T", "e_field")}
+    rho = []
+    e_field = []
     cons: dict[str, list] = {k: [] for k in
                              ("mass", "momentum", "kinetic", "field")}
 
     def record_moments():
         m = compute_moments(field, w)
         times.append(field.time)
-        series["rho"].append(m.rho)
-        series["m1"].append(m.m1)
-        series["m2"].append(m.m2)
-        series["u"].append(m.u)
-        series["T"].append(m.T)
-        series["e_field"].append(m.e_field)
+        rho.append(m.rho)
+        e_field.append(m.e_field)
 
     # step measures the conserved quantities of the states it starts and
     # ends on; the records take them from its diagnostics
@@ -709,17 +665,12 @@ def run_simulation(field: SpectralField, nu: float, w: InteractionKernel,
         max_dm = max(max_dm, abs(diag.mass_drift))
         max_dp = max(max_dp, abs(diag.momentum_drift))
         max_re = max(max_re, diag.reality_defect)
-        if i % output_stride == 0 or i == n_steps:
-            record_moments()
-            record_conserved(diag.after)
+        record_moments()
+        record_conserved(diag.after)
     return RunResult(
         times=np.asarray(times),
-        rho=np.asarray(series["rho"]),
-        m1=np.asarray(series["m1"]),
-        m2=np.asarray(series["m2"]),
-        u=np.asarray(series["u"]),
-        T=np.asarray(series["T"]),
-        e_field=np.asarray(series["e_field"]),
+        rho=np.asarray(rho),
+        e_field=np.asarray(e_field),
         mass=np.asarray(cons["mass"]),
         momentum=np.asarray(cons["momentum"]),
         kinetic_energy=np.asarray(cons["kinetic"]),
@@ -728,5 +679,4 @@ def run_simulation(field: SpectralField, nu: float, w: InteractionKernel,
         max_momentum_drift=max_dp,
         max_reality_defect=max_re,
         final=field,
-        meta={"mode": mode, "nu": nu, "n_steps": n_steps},
     )

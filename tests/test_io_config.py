@@ -3,6 +3,7 @@ idempotent and hash-stable, writers are atomic, checkpoints are bit-exact."""
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -71,6 +72,11 @@ class TestParseConfig:
                            "eta_max = 16\nn_eta = 256\ndt = 0.125\n")
         w = cfg.kernel_object()
         assert w(1) == 1.0 and w(-2) == 0.25
+
+    def test_custom_kernel_rejects_infinite_weight(self):
+        # caught here, on its line, rather than later by the kernel itself
+        with pytest.raises(ConfigError, match="line 2: `kernel_table` must be"):
+            parse_config("kernel = custom\nkernel_table = inf, 1, 1, 1\n")
 
     def test_table_without_custom_kernel_rejected(self):
         with pytest.raises(ConfigError, match="only valid with"):
@@ -179,6 +185,19 @@ class TestManifest:
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"format": "vpfp-manifest", "version": 99}))
         with pytest.raises(ConfigError, match="version 99"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: list(doc.values()),
+        lambda doc: {**doc, "results": []},
+        lambda doc: {k: v for k, v in doc.items() if k != "config"},
+        lambda doc: {**doc, "config": 5},
+    ], ids=["list", "results-list", "no-config", "config-int"])
+    def test_malformed_document_is_config_error(self, tmp_path, edit):
+        path = tmp_path / "manifest.json"
+        write_manifest(RunConfig(), {"experiment": "echo"}, path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
             read_manifest(path)
 
 

@@ -14,7 +14,6 @@ from vpfp.errors import DomainError, RangeError
 from vpfp.semigroup import (
     SemigroupValue,
     bar_eta,
-    check_moment_weights,
     check_propS_bounds,
     eta_ct,
     s_density,
@@ -219,22 +218,3 @@ class TestPropSBounds:
         with pytest.raises(DomainError):
             check_propS_bounds(k_values=(0, 1))
 
-
-class TestMomentWeights:
-    def test_first_weight_uniform_in_nu(self):
-        rep = check_moment_weights()
-        assert rep.satisfied
-        assert rep.constants["first_weight_max"] < 10.0
-        assert rep.constants["first_uniformity_ratio"] < 3.0
-
-    def test_second_weight_documented_growth(self):
-        rep = check_moment_weights()
-        by_nu = rep.details["second_by_nu"]
-        nus = sorted(by_nu)
-        # nu * second grows like nu^(-1/3): ratio across a decade near 10^(1/3).
-        growth = by_nu[nus[0]] / by_nu[nus[-1]]
-        assert growth > 2.0
-
-    def test_rejects_bad_power(self):
-        with pytest.raises(DomainError):
-            check_moment_weights(p=1.5)

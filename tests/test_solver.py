@@ -23,8 +23,8 @@ from vpfp.grids import PhaseGrid, SpectralField
 from vpfp.linear_theory import (InteractionKernel, VolterraProblem,
                                 free_streaming_source, volterra_solve)
 from vpfp.solver import (HydroMoments, InitialData, Mode, _ou_plan,
-                         _rhs_full, compute_moments, conserved_quantities,
-                         conv_matrix, f_hat_view, init_state,
+                         _rhs_full, _rk4_substep, compute_moments,
+                         conserved_quantities, conv_matrix, init_state,
                          moment_closure_residuals, ou_step, run_simulation,
                          step, transport_step)
 
@@ -519,8 +519,9 @@ class TestStep:
         w = coulomb(2)
         f, _ = init_state(InitialData(eps=0.0, modes=(Mode(1, 1.0),)), g, w)
         before = f.data.copy()
-        step(f, 0.05, w, "full")
+        diag = step(f, 0.05, w, "full")
         assert np.max(np.abs(f.data - before)) < 1e-14
+        assert diag.boundary_ratio == 0.0
 
     def test_free_mode_degenerates_to_transport(self):
         g = small_grid(k_max=2, eta_max=16.0, n_eta=256)
@@ -533,6 +534,32 @@ class TestStep:
         # so the manual route needs the same pass before comparing bits
         manual.enforce_reality()
         assert np.array_equal(f.data, manual.data)
+
+    def test_guard_readings_match_direct_measurements(self):
+        # step reads the reality defect and the edge ratio off its own
+        # guards; replay the substeps and measure both from scratch
+        g = small_grid(k_max=2, eta_max=12.0, n_eta=96)
+        w = coulomb(2)
+        nu = 1e-2
+        f, _ = init_state(
+            InitialData(eps=0.05, modes=(Mode(1, 0.8 + 0.3j, 0.7, 1.0),)), g, w)
+        for _ in range(3):
+            step(f, nu, w, "full")
+        replay = f.copy()
+        diag = step(f, nu, w, "full")
+        ou_step(replay, nu, 0.5 * g.dt)
+        _rk4_substep(replay, nu, w, "full", 0.5 * g.dt)
+        transport_step(replay)
+        _rk4_substep(replay, nu, w, "full", 0.5 * g.dt)
+        ou_step(replay, nu, 0.5 * g.dt)
+        defect = float(np.max(np.abs(replay.data - replay._mirror())))
+        replay.data = 0.5 * (replay.data + replay._mirror())
+        edge = np.concatenate([replay.data[:, :2], replay.data[:, -2:]], axis=1)
+        ratio = float(np.max(np.abs(edge))) / float(np.max(np.abs(replay.data)))
+        assert np.array_equal(f.data, replay.data)
+        assert defect > 0.0 and ratio > 0.0
+        assert diag.reality_defect == defect
+        assert diag.boundary_ratio == ratio
 
     def test_invalid_mode_rejected(self):
         g = small_grid()
@@ -602,10 +629,12 @@ class TestConservationRun:
         g = small_grid(k_max=1, eta_max=16.0, n_eta=128)
         w = coulomb(1)
         f, _ = init_state(InitialData(eps=1e-3, modes=(Mode(1, 1.0),)), g, w)
-        res = run_simulation(f, 1e-2, w, 10, mode="linear", output_stride=3)
-        # initial instant + steps 3, 6, 9 + forced final
-        assert res.times.shape == (5,)
-        assert res.rho.shape == (5, g.n_k)
+        res = run_simulation(f, 1e-2, w, 10, mode="linear")
+        # initial instant + every step
+        assert res.times.shape == (11,)
+        assert res.rho.shape == (11, g.n_k)
+        assert res.e_field.shape == (11, g.n_k)
+        assert res.mass.shape == (11,)
         assert res.times[-1] == pytest.approx(10 * g.dt)
 
     def test_recorded_conserved_quantities_are_those_of_the_states(self):
@@ -614,12 +643,11 @@ class TestConservationRun:
         w = coulomb(1)
         f, _ = init_state(InitialData(eps=1e-2, modes=(Mode(1, 1.0),)), g, w)
         replay = f.copy()
-        res = run_simulation(f, 1e-2, w, 7, mode="full", output_stride=3)
+        res = run_simulation(f, 1e-2, w, 7, mode="full")
         want = [conserved_quantities(replay, w)]
-        for i in range(1, 8):
+        for _ in range(7):
             step(replay, 1e-2, w, "full")
-            if i % 3 == 0 or i == 7:
-                want.append(conserved_quantities(replay, w))
+            want.append(conserved_quantities(replay, w))
         assert res.mass.tolist() == [c.mass for c in want]
         assert res.momentum.tolist() == [c.momentum for c in want]
         assert res.kinetic_energy.tolist() == [c.kinetic_energy for c in want]
@@ -649,29 +677,3 @@ class TestConservationRun:
         den = np.max(np.abs(vres.rho[:n]))
         assert num / den < 0.05
 
-
-class TestFHatView:
-    def test_free_streaming_mixed_view_is_stationary(self):
-        g = PhaseGrid(k_max=2, eta_max=24.0, n_eta=192, dt=0.25)
-        w = coulomb(2)
-        f, _ = init_state(InitialData(eps=0.1, modes=(Mode(1, 1.0, 0.0, 2.0),)), g, w)
-        w_pts = g.eta[60:120]
-        v0 = f_hat_view(f, 0.0, 1, w_pts)
-        for _ in range(20):
-            step(f, 0.0, w, "free")
-        v1 = f_hat_view(f, 0.0, 1, w_pts)
-        assert np.array_equal(v0, v1)
-
-    def test_scalar_input_returns_scalar(self):
-        g = small_grid()
-        f = SpectralField.zeros(g)
-        f.data[g.k_index(1)] = np.exp(-g.eta ** 2 / 2)
-        out = f_hat_view(f, 1e-3, 1, 0.5)
-        assert np.ndim(out) == 0
-
-    def test_out_of_window_reads_zero(self):
-        g = small_grid()
-        f = SpectralField.zeros(g)
-        f.data[g.k_index(1)] = np.exp(-g.eta ** 2 / 2)
-        f.time = 100.0  # bar point far outside the lattice
-        assert f_hat_view(f, 1e-3, 1, 0.0) == 0.0
