@@ -8,8 +8,8 @@ series, a summary.json with exponents and confidence intervals, and a
 manifest.json from which rerun_from_manifest reproduces every CSV byte for
 byte.
 
-Grid policy: the config grid keys describe a single base lattice for direct
-library use; the drivers size their own windows at the per-driver spacings
+Grid policy: the config has no lattice keys.  Each driver sizes its own
+window per cell from the cell's nu^(-1/3) scales, at the per-driver spacing
 below, chosen so every probed cell stays above its aliasing floor for the
 whole horizon.  Cells run sequentially whatever the workers key says, so a
 scan is a pure function of its config.
@@ -18,7 +18,7 @@ scan is a pure function of its config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +194,12 @@ def _versions() -> dict:
             "scipy": scipy.__version__}
 
 
+def _flat_summary(kind: str, report) -> dict:
+    """summary.json of a report whose fields are all JSON-ready."""
+    return {"experiment": kind, **asdict(report),
+            "versions": _versions()}
+
+
 def _write_outputs(spec: ExperimentSpec, summary: dict, csv_files: dict) -> None:
     if not spec.out_dir:
         return
@@ -314,9 +320,11 @@ def run_dissipation_scan(spec: ExperimentSpec) -> ScalingReport:
     k_list = tuple(sorted(set(abs(int(k)) for k in cfg.k_list)))
     if not k_list:
         raise DomainError("dissipation scan needs a nonempty k list")
+    # one kernel on the widest band serves every row; a custom table too
+    # short for it fails here, before any cell runs
+    w = cfg.kernel_object(k_max=k_list[-1])
     cells = []
     for k in k_list:
-        w = cfg.kernel_object(k_max=k)
         for nu in spec.nu_list:
             ts = surrogate_half_life(k, nu)
             tm, dm, dp = _measured_half_life(k, nu, ts, d_eta, w)
@@ -365,13 +373,7 @@ class RateReport:
     config_hash: str
 
     def summary(self) -> dict:
-        return {"experiment": "landau",
-                "config_hash": self.config_hash,
-                "rows": self.rows,
-                "stability_ratio": self.stability_ratio,
-                "all_positive": self.all_positive,
-                "max_discrepancy": self.max_discrepancy,
-                "versions": _versions()}
+        return _flat_summary("landau", self)
 
 
 def run_landau_linear(spec: ExperimentSpec) -> RateReport:
@@ -489,13 +491,7 @@ class EchoReport:
     config_hash: str
 
     def summary(self) -> dict:
-        return {"experiment": "echo",
-                "config_hash": self.config_hash,
-                "rows": self.rows,
-                "monotone_amp": self.monotone_amp,
-                "strictly_decreasing": self.strictly_decreasing,
-                "collisionless_deviation": self.collisionless_deviation,
-                "versions": _versions()}
+        return _flat_summary("echo", self)
 
 
 def run_echo(spec: ExperimentSpec) -> EchoReport:
@@ -742,19 +738,7 @@ class ThermalizationReport:
     config_hash: str
 
     def summary(self) -> dict:
-        return {"experiment": "thermalize",
-                "config_hash": self.config_hash,
-                "nu": self.nu, "eps": self.eps,
-                "heating_residual": self.heating_residual,
-                "x_rate": self.x_rate,
-                "x_rate_over_nu": self.x_rate_over_nu,
-                "k_rate": self.k_rate,
-                "k_rate_nu13": self.k_rate_nu13,
-                "identically_zero": self.identically_zero,
-                "max_mass_drift": self.max_mass_drift,
-                "max_momentum_drift": self.max_momentum_drift,
-                "n_steps": self.n_steps,
-                "versions": _versions()}
+        return _flat_summary("thermalize", self)
 
 
 def run_thermalize(spec: ExperimentSpec) -> ThermalizationReport:

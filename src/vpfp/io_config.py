@@ -27,11 +27,8 @@ from .multiplier import NormSpec
 
 CHECKPOINT_MAGIC = b"VPFPCKPT"
 CHECKPOINT_VERSION = 1
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 _KERNEL_CHOICES = ("coulomb", "screened", "custom")
-
-# grid alignment tolerance, relative to dt
-_ALIGN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,15 +36,10 @@ class RunConfig:
     """Fully validated run parameters shared by the CLI and the drivers.
 
     Scan lists left empty mean "use the driver's documented default";
-    t_final = 0 likewise asks the driver to size its own horizon.  Grid
-    keys fix the lattice spacing (dt = 2 eta_max / n_eta); scan drivers
-    derive per-cell windows at the same spacing.
+    t_final = 0 likewise asks the driver to size its own horizon.  There
+    are no lattice keys: each driver sizes its own lattice per cell, at the
+    spacing it fixes for its campaign.
     """
-
-    k_max: int = 4
-    eta_max: float = 32.0
-    n_eta: int = 512
-    dt: float = 0.125
 
     nu: float = 1e-3
     eps: float = 1e-4
@@ -82,19 +74,19 @@ class RunConfig:
 
     out_dir: str = "out"
 
-    def grid(self) -> PhaseGrid:
-        return PhaseGrid(k_max=self.k_max, eta_max=self.eta_max,
-                         n_eta=self.n_eta, dt=self.dt)
-
     def norm_spec(self) -> NormSpec:
         return NormSpec(s=self.norm_s, c=self.norm_c, m=self.norm_m)
 
-    def kernel_object(self, k_max=None) -> InteractionKernel:
-        span = self.k_max if k_max is None else k_max
+    def kernel_object(self, k_max: int) -> InteractionKernel:
+        """The configured kernel on the band |k| <= k_max."""
         if self.kernel == "coulomb":
-            return InteractionKernel.coulomb(k_max=span)
+            return InteractionKernel.coulomb(k_max=k_max)
         if self.kernel == "screened":
-            return InteractionKernel.screened(k_max=span)
+            return InteractionKernel.screened(k_max=k_max)
+        if len(self.kernel_table) < k_max:
+            raise ConfigError(
+                f"`kernel_table` has {len(self.kernel_table)} entries; this "
+                f"campaign's band needs k_max = {k_max}")
         table = {}
         for i, v in enumerate(self.kernel_table):
             table[i + 1] = float(v)
@@ -109,11 +101,6 @@ def _is_int(x) -> bool:
 # key -> (kind, validator, requirement text). Kinds: int, float, str,
 # float_list, int_list. The requirement text doubles as the error message.
 _SCHEMA = {
-    "k_max": ("int", lambda v: 1 <= v <= 64, "an integer in [1, 64]"),
-    "eta_max": ("float", lambda v: 0.0 < v <= 1e4, "in (0, 1e4]"),
-    "n_eta": ("int", lambda v: 8 <= v <= (1 << 22) and v % 2 == 0,
-              "an even integer in [8, 2^22]"),
-    "dt": ("float", lambda v: 0.0 < v <= 100.0, "in (0, 100]"),
     "nu": ("float", lambda v: 0.0 <= v <= 10.0, "in [0, 10]"),
     "eps": ("float", lambda v: 0.0 <= v <= 10.0, "in [0, 10]"),
     "kernel": ("str", lambda v: v in _KERNEL_CHOICES,
@@ -177,7 +164,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse `key = value` text into a validated RunConfig.
 
     Comments run from `#` to end of line.  Unknown keys, duplicated keys,
-    type errors, range violations, and grid misalignment all raise
+    type errors, range violations, and inconsistent key pairs all raise
     ConfigError naming the line.
     """
     values = {}
@@ -212,16 +199,13 @@ def _validate_cross(cfg: RunConfig, lines: dict) -> None:
     def where(key: str) -> str:
         return f"line {lines[key]}" if key in lines else f"default `{key}`"
 
-    want = 2.0 * cfg.eta_max / cfg.n_eta
-    if abs(cfg.dt - want) > _ALIGN_RTOL * want:
-        raise ConfigError(
-            f"{where('dt')}: dt must equal 2*eta_max/n_eta = {want!r}, "
-            f"got {cfg.dt!r}")
+    # how many entries a custom table needs depends on the campaign's band,
+    # which kernel_object checks
     if cfg.kernel == "custom":
-        if len(cfg.kernel_table) < cfg.k_max:
+        if not cfg.kernel_table:
             raise ConfigError(
-                f"{where('kernel_table')}: custom kernel needs at least "
-                f"k_max = {cfg.k_max} entries, got {len(cfg.kernel_table)}")
+                f"{where('kernel_table')}: custom kernel needs a nonempty "
+                f"kernel_table")
     elif cfg.kernel_table:
         raise ConfigError(
             f"{where('kernel_table')}: kernel_table is only valid with "
@@ -233,14 +217,6 @@ def _validate_cross(cfg: RunConfig, lines: dict) -> None:
     if cfg.t_final > 0.0 and cfg.fit_t_max > cfg.t_final:
         raise ConfigError(
             f"{where('fit_t_max')}: fit window ends after t_final")
-    if abs(cfg.mode_k) > cfg.k_max:
-        raise ConfigError(
-            f"{where('mode_k')}: |mode_k| exceeds k_max = {cfg.k_max}")
-    # the default k_list is only a suggestion for the scan driver, so the
-    # band check applies to explicit settings alone
-    if "k_list" in lines and any(k > cfg.k_max for k in cfg.k_list):
-        raise ConfigError(
-            f"{where('k_list')}: entries must not exceed k_max = {cfg.k_max}")
 
 
 def _format_value(kind: str, val) -> str:
@@ -384,6 +360,11 @@ def read_manifest(path) -> dict:
         raise ConfigError(f"{path}: manifest has no config text")
     if not isinstance(doc.get("results"), dict):
         raise ConfigError(f"{path}: manifest results are not an object")
+    digest = hashlib.sha256(doc["config"].encode("utf-8")).hexdigest()
+    if digest != doc.get("config_hash"):
+        raise ConfigError(
+            f"{path}: config text hashes to {digest}, not the recorded "
+            f"config_hash {doc.get('config_hash')}")
     return doc
 
 

@@ -13,9 +13,8 @@ bracket and a slow exponential to form the working weight
     A(t, 0, eta) = <eta>^s,
 
 with <k, eta> = (1 + k^2 + eta^2)^(1/2).  The norms layered on top are the
-A-weighted velocity-moment ladders (norm_f, norm_d), a pure coefficient norm
-for reaction kernels (norm_mcal), and unweighted Sobolev-moment norms for
-initial data and low-depth bookkeeping (norm_sobolev_moment, norm_h).
+A-weighted velocity-moment ladders (norm_f, norm_d) and an unweighted
+Sobolev-moment norm (norm_sobolev_moment).
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ _NORM_BOUNDARY = 1e-12
 # Cap on the derivative ladder depth accepted by the weighted norms.
 _MAX_LADDER = 8
 
-# Time-weight exponent (in (1, 2)) and moment budget of norm_h.
-_H_THETA = 1.5
-_H_M_PRIME = 7
-
 # Moment-ladder normalizer K_alpha = 4^alpha.
 def _k_alpha(alpha: int) -> float:
     return 4.0 ** alpha
@@ -52,7 +47,7 @@ def _k_alpha(alpha: int) -> float:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Parameters of the A-weighted norms norm_f, norm_d and norm_mcal.
+    """Parameters of the A-weighted norms norm_f and norm_d.
 
     Attributes:
         s: regularity exponent of the bracket weight.
@@ -222,24 +217,6 @@ def norm_d(field: SpectralField, spec: NormSpec, nu: float,
     return math.sqrt(_ladder_norm_sq(field, spec, nu, t, w))
 
 
-def norm_mcal(q_hat: np.ndarray, grid: PhaseGrid, spec: NormSpec, nu: float,
-              t: float) -> float:
-    """Coefficient norm on the critical trace.
-
-    norm^2 = sum_{k != 0} A(t, k, k t)^2 |q_hat(k)|^2 for a vector of
-    per-mode coefficients indexed like grid.k_values.
-    """
-    q = np.asarray(q_hat)
-    if q.shape != (grid.n_k,):
-        raise DomainError(f"coefficient vector must have shape ({grid.n_k},)")
-    k = grid.k_values.astype(float)
-    nz = k != 0.0
-    m_vals = m_eval_grid(t, k[nz], k[nz] * t, nu)
-    a_vals = (np.exp(spec.c * nu ** (1.0 / 3.0) * t)
-              * bracket(k[nz], k[nz] * t) ** spec.s * m_vals)
-    return float(np.sqrt(np.sum((a_vals * np.abs(q[nz])) ** 2)))
-
-
 def norm_sobolev_moment(field: SpectralField, s: float, q: int) -> float:
     """Unweighted Sobolev-moment norm of regularity s and moment budget q.
 
@@ -257,36 +234,6 @@ def norm_sobolev_moment(field: SpectralField, s: float, q: int) -> float:
     for i in range(int(q) + 1):
         total += (math.comb(int(q), i)
                   * float(np.sum(weight * np.abs(derivs[i]) ** 2)) * grid.d_eta)
-    return math.sqrt(total)
-
-
-def norm_h(field: SpectralField, t: float | None = None) -> float:
-    """Low-depth hydrodynamic bookkeeping norm.
-
-    norm^2 = sum_{alpha + gamma <= 3} <t>^(-2 theta gamma)
-             sum_{i <= q} C(q, i) sum_k |k|^(2 alpha)
-             int |(i d/d_eta)^i [(i eta)^gamma h]|^2 d_eta,   q = m_prime - alpha,
-
-    with theta = _H_THETA and m_prime = _H_M_PRIME.
-    """
-    if t is None:
-        t = field.time
-    grid = field.grid
-    _check_norm_input(field, _H_M_PRIME)
-    t_brack = math.sqrt(1.0 + t * t)
-    eta = grid.eta[None, :]
-    kk = np.abs(grid.k_values[:, None].astype(float))
-    total = 0.0
-    for gamma in range(4):
-        weighted = (1j * eta) ** gamma * field.data
-        derivs = _eta_derivative_stack(weighted, grid.d_eta, _H_M_PRIME)
-        for alpha in range(4 - gamma):
-            q = max(_H_M_PRIME - alpha, 0)
-            moment_sq = np.zeros(field.data.shape)
-            for i in range(q + 1):
-                moment_sq += math.comb(q, i) * np.abs(derivs[i]) ** 2
-            term = float(np.sum(kk ** (2 * alpha) * moment_sq)) * grid.d_eta
-            total += t_brack ** (-2.0 * _H_THETA * gamma) * term
     return math.sqrt(total)
 
 

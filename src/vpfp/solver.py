@@ -47,7 +47,6 @@ from .errors import (
 )
 from .grids import PhaseGrid, SpectralField
 from .linear_theory import InteractionKernel, mu_hat
-from .multiplier import norm_sobolev_moment
 
 # Positivity floor for the reconstructed density and temperature profiles.
 POSITIVITY_FLOOR = 0.5
@@ -236,28 +235,20 @@ class Mode:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Perturbation datum: scaled Gaussian bumps plus conservation projections.
+    """Perturbation datum: Gaussian bumps scaled by eps, plus conservation
+    projections.
 
     Attributes:
-        eps: overall amplitude.
+        eps: overall amplitude; each bump amplitude is multiplied by it.
         modes: bump list; reality partners are implied.
-        normalize: "raw" scales bump amplitudes by eps directly; "sobolev"
-            rescales the whole datum so its Sobolev-moment diagnostic norm
-            equals eps.
-        sobolev_s, sobolev_q: parameters of that diagnostic norm.
     """
 
     eps: float
     modes: tuple[Mode, ...]
-    normalize: str = "raw"
-    sobolev_s: float = 4.5
-    sobolev_q: int = 7
 
     def __post_init__(self):
         if self.eps < 0.0:
             raise DomainError("eps must be nonnegative")
-        if self.normalize not in ("raw", "sobolev"):
-            raise DomainError("normalize must be 'raw' or 'sobolev'")
         seen = set()
         for mo in self.modes:
             if -mo.k in seen:
@@ -278,8 +269,7 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
          unperturbed value pi, i.e. M2(0) = -field_energy / pi.
 
     Returns:
-        (field, report); the report records the removed defects and, for
-        normalize="sobolev", the achieved diagnostic norm.
+        (field, report); the report records the removed defects and eps.
 
     Raises:
         InvariantError: if the raw datum violates reality symmetry.
@@ -299,13 +289,7 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
         f.data[grid.k_index(-mo.k)] += np.conj(mo.amp) * np.exp(
             -(eta + mo.center) ** 2 / (2 * mo.width ** 2))
     report: dict = {}
-    scale = data.eps
-    if data.normalize == "sobolev":
-        raw_norm = norm_sobolev_moment(f, s=data.sobolev_s, q=data.sobolev_q)
-        if raw_norm == 0.0:
-            raise DomainError("cannot normalize a zero datum")
-        scale = data.eps / raw_norm
-    f.data *= scale
+    f.data *= data.eps
     defect = f.reality_defect()
     if defect > 1e-10 * max(float(np.max(np.abs(f.data))), 1e-300):
         raise InvariantError(f"raw datum breaks reality symmetry by {defect:.3e}")
@@ -335,11 +319,7 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
     if scale_now > 0 and f.boundary_amplitude() > 1e-12 * scale_now:
         raise AliasingError("initial datum is not below 1e-12 of its peak at "
                             "the window edge; enlarge eta_max")
-    if data.normalize == "sobolev":
-        report["achieved_norm"] = norm_sobolev_moment(
-            f, s=data.sobolev_s, q=data.sobolev_q)
     report["eps"] = data.eps
-    report["scale"] = float(scale)
     return f, report
 
 
@@ -579,24 +559,31 @@ class StepDiagnostics:
 
 def step(field: SpectralField, nu: float, w: InteractionKernel,
          mode: str = "full") -> StepDiagnostics:
-    """Advance one full time step in place and report conservation drifts."""
+    """Advance one full time step and report conservation drifts.
+
+    The substeps advance a copy of the field; its data and time are written
+    back only after every guard has passed, so a step that raises leaves
+    the field as it was.
+    """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
-    g = field.grid
-    dt = g.dt
+    dt = field.grid.dt
     before = conserved_quantities(field, w)
-    ou_step(field, nu, 0.5 * dt)
-    _rk4_substep(field, nu, w, mode, 0.5 * dt)
-    transport_step(field)
-    _rk4_substep(field, nu, w, mode, 0.5 * dt)
-    ou_step(field, nu, 0.5 * dt)
-    if not np.all(np.isfinite(field.data)):
+    new = field.copy()
+    ou_step(new, nu, 0.5 * dt)
+    _rk4_substep(new, nu, w, mode, 0.5 * dt)
+    transport_step(new)
+    _rk4_substep(new, nu, w, mode, 0.5 * dt)
+    ou_step(new, nu, 0.5 * dt)
+    if not np.all(np.isfinite(new.data)):
         raise StateEscapeError("state left the representable range (non-finite "
                                "amplitudes); the run has blown up")
-    defect = field.enforce_reality()
-    edge_ratio = field.check_boundary()
-    field.time += dt
-    after = conserved_quantities(field, w)
+    defect = new.enforce_reality()
+    edge_ratio = new.check_boundary()
+    new.time += dt
+    after = conserved_quantities(new, w)
+    field.data = new.data
+    field.time = new.time
     return StepDiagnostics(
         mass_drift=after.mass - before.mass,
         momentum_drift=after.momentum - before.momentum,

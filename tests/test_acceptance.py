@@ -19,6 +19,7 @@ from scipy.integrate import solve_ivp
 from vpfp.experiments import run_experiment, rerun_from_manifest
 from vpfp.grids import PhaseGrid, SpectralField
 from vpfp.io_config import RunConfig, read_manifest
+from vpfp.linear_theory import InteractionKernel
 from vpfp.multiplier import check_propM
 from vpfp.semigroup import (check_propS_bounds, eta_ct, s_density_exponent,
                             s_general_exponent)
@@ -185,14 +186,13 @@ def test_03_drift_diffusion_propagator():
 
 def test_04_conservation_long_run():
     t0 = time.perf_counter()
-    cfg = RunConfig(k_max=16, eta_max=128.0, n_eta=2048, dt=0.125,
-                    nu=1e-3, eps=1e-4, t_final=50.0)
-    grid = cfg.grid()
-    w = cfg.kernel_object()
-    f, _ = init_state(InitialData(eps=cfg.eps,
+    grid = PhaseGrid(k_max=16, eta_max=128.0, n_eta=2048, dt=0.125)
+    w = InteractionKernel.coulomb(16)
+    nu, eps, t_final = 1e-3, 1e-4, 50.0
+    f, _ = init_state(InitialData(eps=eps,
                                   modes=(Mode(1, 1.0, 0.0, 1.0),)), grid, w)
-    n_steps = int(round(cfg.t_final / grid.dt))
-    res = run_simulation(f, cfg.nu, w, n_steps, mode="full")
+    n_steps = int(round(t_final / grid.dt))
+    res = run_simulation(f, nu, w, n_steps, mode="full")
     total = res.kinetic_energy + res.field_energy
     energy_drift = float(np.max(np.abs(total - total[0]))) / abs(total[0])
     elapsed = time.perf_counter() - t0

@@ -32,7 +32,8 @@ from vpfp.experiments import (
     run_threshold_scan,
     surrogate_half_life,
 )
-from vpfp.io_config import RunConfig, config_hash, read_csv, read_manifest
+from vpfp.io_config import (RunConfig, config_hash, parse_config, read_csv,
+                            read_manifest)
 from vpfp.semigroup import s_density_exponent
 
 LN2 = math.log(2.0)
@@ -215,6 +216,13 @@ class TestLandau:
         with pytest.raises(DomainError):
             run_landau_linear(ExperimentSpec.from_config("landau", cfg))
 
+    def test_one_entry_custom_kernel_covers_the_band(self, landau_report):
+        # landau runs on k = 1 alone, and w(1) = 1 is the coulomb weight
+        cfg = parse_config("kernel = custom\nkernel_table = 1.0\n"
+                           "nu_list = 0.001\n")
+        rep = run_landau_linear(ExperimentSpec.from_config("landau", cfg))
+        assert rep.rows == [r for r in landau_report.rows if r["nu"] == 1e-3]
+
 
 @pytest.fixture(scope="module")
 def echo_report():
@@ -252,6 +260,13 @@ class TestEcho:
         assert row["verdict"] == "no echo"
         assert math.isnan(row["peak_amp"])
         assert not rep.monotone_amp
+
+    def test_custom_kernel_shorter_than_band_rejected(self):
+        # pump_k = 3 couples modes up to |k| = 6; four weights do not cover it
+        cfg = parse_config("kernel = custom\nkernel_table = 1, 0.25, 0.1, 0.05\n"
+                           "echo_pump_k = 3\nnu_list = 0.001\nt_final = 4\n")
+        with pytest.raises(ConfigError, match="`kernel_table` has 4 entries"):
+            run_echo(ExperimentSpec.from_config("echo", cfg))
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +391,19 @@ class TestOutputs:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError,
                            match="manifest version 1 unsupported"):
+            rerun_from_manifest(path)
+
+    def test_rerun_refuses_version_2_manifest(self, tmp_path):
+        # version 2 manifests embed the lattice keys k_max, eta_max, n_eta
+        # and dt, which no longer parse
+        from vpfp.io_config import write_manifest
+        path = tmp_path / "manifest.json"
+        write_manifest(RunConfig(), {"experiment": "echo"}, path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError,
+                           match="manifest version 2 unsupported"):
             rerun_from_manifest(path)
 
     def test_in_memory_run_writes_nothing(self, tmp_path, monkeypatch):

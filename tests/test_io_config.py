@@ -5,13 +5,14 @@ import json
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vpfp.errors import ConfigError, DomainError
 from vpfp.grids import PhaseGrid, SpectralField
-from vpfp.io_config import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+from vpfp.io_config import (_SCHEMA, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                             OutputLock, RunConfig, canonical_text,
                             checkpoint_load, checkpoint_save,
                             config_hash, format_float,
@@ -50,28 +51,24 @@ class TestParseConfig:
 
     def test_int_key_rejects_float_literal(self):
         with pytest.raises(ConfigError, match="not a valid int"):
-            parse_config("n_eta = 512.0\n")
+            parse_config("norm_m = 2.0\n")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="line 1.*key = value"):
             parse_config("nu 1e-3\n")
 
-    def test_alignment_accepts_consistent_grid(self):
-        cfg = parse_config("eta_max = 5\nn_eta = 1000\ndt = 0.01\n")
-        assert cfg.dt == 0.01
-
-    def test_alignment_error_names_dt_line(self):
-        with pytest.raises(ConfigError, match="line 3.*2\\*eta_max/n_eta"):
-            parse_config("eta_max = 5\nn_eta = 1000\ndt = 0.02\n")
-
     def test_custom_kernel_requires_table(self):
         with pytest.raises(ConfigError, match="custom kernel needs"):
             parse_config("kernel = custom\n")
-        cfg = parse_config("kernel = custom\nk_max = 2\n"
-                           "kernel_table = 1.0, 0.25\n"
-                           "eta_max = 16\nn_eta = 256\ndt = 0.125\n")
-        w = cfg.kernel_object()
+        cfg = parse_config("kernel = custom\nkernel_table = 1.0, 0.25\n")
+        w = cfg.kernel_object(k_max=2)
         assert w(1) == 1.0 and w(-2) == 0.25
+
+    def test_custom_kernel_shorter_than_band_rejected(self):
+        cfg = parse_config("kernel = custom\nkernel_table = 1.0, 0.25\n")
+        assert cfg.kernel_object(k_max=1)(1) == 1.0
+        with pytest.raises(ConfigError, match="`kernel_table` has 2 entries"):
+            cfg.kernel_object(k_max=3)
 
     def test_custom_kernel_rejects_infinite_weight(self):
         # caught here, on its line, rather than later by the kernel itself
@@ -82,18 +79,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="only valid with"):
             parse_config("kernel_table = 1.0\n")
 
-    def test_mode_k_outside_band_rejected(self):
-        with pytest.raises(ConfigError, match="mode_k"):
-            parse_config("k_max = 2\nmode_k = 3\n"
-                         "eta_max = 16\nn_eta = 256\ndt = 0.125\n")
-
     def test_empty_fit_window_rejected(self):
         with pytest.raises(ConfigError, match="fit window is empty"):
             parse_config("fit_t_min = 5\nfit_t_max = 2\n")
 
     @pytest.mark.parametrize("key", [
         "eps_list", "output_stride", "norm_delta", "norm_delta1",
-        "norm_sigma", "norm_p", "norm_theta", "norm_m_prime"])
+        "norm_sigma", "norm_p", "norm_theta", "norm_m_prime",
+        "k_max", "eta_max", "n_eta", "dt"])
     def test_removed_key_is_unknown(self, key):
         # keys no driver read were dropped from the schema
         with pytest.raises(ConfigError, match=f"line 2: unknown key `{key}`"):
@@ -174,6 +167,19 @@ class TestManifest:
         assert doc["config_hash"] == config_hash(cfg)
         assert parse_config(doc["config"]) == cfg
         assert doc["results"]["experiment"] == "landau"
+
+    def test_edited_config_text_rejected(self, tmp_path):
+        # the recorded hash is the run identity; a config text that no
+        # longer hashes to it would rerun some other config
+        path = tmp_path / "manifest.json"
+        write_manifest(RunConfig(), {"experiment": "echo"}, path)
+        doc = json.loads(path.read_text())
+        assert "\nnu = 0.001\n" in doc["config"]
+        doc["config"] = doc["config"].replace("\nnu = 0.001\n", "\nnu = 0.002\n")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(path))}: config text hashes"):
+            read_manifest(path)
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "x.json"
@@ -279,3 +285,15 @@ class TestOutputPaths:
                 OutputLock(tmp_path).acquire()
         # released: can be taken again
         OutputLock(tmp_path).acquire().release()
+
+
+class TestReadme:
+    def test_configuration_keys_section_names_every_key(self):
+        # the first column of the README's key table, against the schema
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines()
+                if line.startswith("|") and not line.startswith("|--")][1:]
+        named = [key for row in rows
+                 for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert rows and set(named) == set(_SCHEMA)

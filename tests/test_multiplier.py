@@ -4,15 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import quad
 from scipy.special import roots_hermite
 
 from vpfp.errors import DomainError
 from vpfp.grids import PhaseGrid, SpectralField
 from vpfp.multiplier import (
-    _H_M_PRIME,
-    _H_THETA,
     NormSpec,
     a_weight,
     bracket,
@@ -23,8 +20,6 @@ from vpfp.multiplier import (
     m_exponent_grid,
     norm_d,
     norm_f,
-    norm_h,
-    norm_mcal,
     norm_sobolev_moment,
 )
 from vpfp.semigroup import bar_eta, eta_ct
@@ -214,28 +209,6 @@ class TestNormD:
         assert got == pytest.approx(want, rel=1e-12)
 
 
-class TestNormMcal:
-    def test_zero_mode_excluded(self):
-        grid = small_grid(k_max=3)
-        q = np.zeros(grid.n_k, dtype=complex)
-        q[grid.k_index(0)] = 5.0
-        assert norm_mcal(q, grid, NormSpec(), 1e-3, 1.0) == 0.0
-
-    def test_band_within_factor_two(self):
-        grid = PhaseGrid(k_max=8, eta_max=16.0, n_eta=128, dt=0.25)
-        k = grid.k_values.astype(float)
-        q = np.where(k != 0, 1.0 / bracket(k, 0.0) ** 4, 0.0).astype(complex)
-        spec = NormSpec()
-        nu, t = 1e-3, 2.0
-        got = norm_mcal(q, grid, spec, nu, t)
-        nz = k != 0
-        bare = math.sqrt(float(np.sum(
-            (math.exp(spec.c * nu ** (1.0 / 3.0) * t)
-             * bracket(k[nz], k[nz] * t) ** spec.s
-             * np.abs(q[nz])) ** 2)))
-        assert 0.5 * bare <= got <= bare
-
-
 class TestNormSobolevMoment:
     def test_gaussian_zero_mode(self):
         grid = small_grid(eta_max=24.0, n_eta=512)
@@ -244,32 +217,6 @@ class TestNormSobolevMoment:
         got = norm_sobolev_moment(f, s=0.0, q=0)
         want = math.sqrt(np.sum(np.exp(-grid.eta ** 2)) * grid.d_eta)
         assert got == pytest.approx(want, rel=1e-12)
-
-
-class TestNormH:
-    def test_gaussian_moment_table(self):
-        # k = 0 Gaussian row: only the alpha = 0 column survives.  By
-        # Parseval, sum_i C(q, i) int |d^i (eta^gamma G)|^2 equals
-        # int (1 + w^2)^q He_gamma(w)^2 e^(-w^2) dw, which Gauss-Hermite
-        # quadrature integrates exactly.
-        grid = small_grid(eta_max=24.0, n_eta=512)
-        f = SpectralField.zeros(grid)
-        f.data[grid.k_index(0)] = np.exp(-grid.eta ** 2 / 2.0)
-        t = 1.0
-        w, wq = roots_hermite(20)
-        total = 0.0
-        for gamma in range(4):
-            he = hermeval(w, [0.0] * gamma + [1.0])
-            total += ((1.0 + t * t) ** (-_H_THETA * gamma)
-                      * np.sum(wq * (1.0 + w * w) ** _H_M_PRIME * he ** 2))
-        assert norm_h(f, t=t) == pytest.approx(math.sqrt(total), rel=1e-10)
-
-    def test_time_weight_decreases(self):
-        grid = small_grid()
-        f = SpectralField.zeros(grid)
-        f.data[grid.k_index(1)] = np.exp(-grid.eta ** 2 / 2.0)
-        f.data[grid.k_index(-1)] = np.exp(-grid.eta ** 2 / 2.0)
-        assert norm_h(f, t=10.0) < norm_h(f, t=0.0)
 
 
 class TestCheckPropM:
