@@ -422,6 +422,7 @@ class TestInitState:
 
     @pytest.mark.parametrize("bad", [
         dict(eps=-1.0, modes=(Mode(1, 1.0),)),
+        dict(eps=0.1, modes=(Mode(-2, 1.0), Mode(2, 0.5))),
         dict(eps=0.1, modes=(Mode(1, 1.0), Mode(-1, 1.0))),
     ])
     def test_invalid_data_rejected(self, bad):
