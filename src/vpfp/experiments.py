@@ -27,7 +27,8 @@ from scipy import stats
 from scipy.optimize import brentq
 
 from . import __version__
-from .errors import AliasingError, DomainError, HorizonError, NumericError
+from .errors import AliasingError, ConfigError, DomainError, HorizonError, \
+    NumericError
 from .grids import PhaseGrid, SpectralField
 from .io_config import RunConfig, config_hash, parse_config, read_manifest, \
     write_csv, write_json, write_manifest
@@ -35,8 +36,8 @@ from .linear_theory import InteractionKernel, VolterraProblem, \
     fit_decay_rate, free_streaming_source, volterra_solve
 from .multiplier import norm_sobolev_moment
 from .semigroup import eta_ct, s_density_exponent
-from .solver import InitialData, Mode, compute_moments, conserved_quantities, \
-    init_state, run_simulation, step
+from .solver import InitialData, Mode, compute_moments, init_state, march, \
+    run_simulation
 
 EXPERIMENT_KINDS = ("dissipation", "landau", "echo", "threshold", "thermalize")
 
@@ -249,33 +250,31 @@ def _measured_half_life(k: int, nu: float, ts: float, d_eta: float,
                       grid, w)
     row = grid.k_index(k)
     root_h = math.sqrt(grid.d_eta)
-    norm0 = float(np.linalg.norm(f.data[row])) * root_h
-    target = 0.5 * norm0
     t_cap = 2.2 * ts
-    prev_t = 0.0
-    prev_v = norm0
-    max_dm = 0.0
-    max_dp = 0.0
-    while f.time < t_cap:
-        try:
-            diag = step(f, nu, w, mode="free")
-        except AliasingError as exc:
-            raise HorizonError(
-                f"k = {k}, nu = {nu}: no half-norm crossing before the "
-                f"window edge (t = {f.time:.6g})") from exc
-        max_dm = max(max_dm, abs(diag.mass_drift))
-        max_dp = max(max_dp, abs(diag.momentum_drift))
-        cur_v = float(np.linalg.norm(f.data[row])) * root_h
-        if cur_v <= target:
-            # log-linear interpolation of the crossing inside the last step
-            a = math.log(prev_v / target)
-            b = math.log(target / cur_v) if cur_v < target else 0.0
-            return prev_t + grid.dt * (a / (a + b) if a + b > 0 else 1.0), \
-                max_dm, max_dp
-        prev_t = f.time
-        prev_v = cur_v
-    raise HorizonError(f"k = {k}, nu = {nu}: no half-norm crossing inside "
-                       f"t <= {t_cap:.6g}")
+    norms = []
+
+    def halved(state, _cons, i):
+        norms.append((state.time,
+                      float(np.linalg.norm(state.data[row])) * root_h))
+        return i > 0 and norms[-1][1] <= 0.5 * norms[0][1]
+
+    try:
+        max_dm, max_dp, _ = march(f, nu, w, math.ceil(t_cap / grid.dt),
+                                  "free", halved)
+    except AliasingError as exc:
+        raise HorizonError(
+            f"k = {k}, nu = {nu}: no half-norm crossing before the "
+            f"window edge (t = {f.time:.6g})") from exc
+    target = 0.5 * norms[0][1]
+    (prev_t, prev_v), (_, cur_v) = norms[-2:]
+    if cur_v > target:
+        raise HorizonError(f"k = {k}, nu = {nu}: no half-norm crossing "
+                           f"inside t <= {t_cap:.6g}")
+    # log-linear interpolation of the crossing inside the last step
+    a = math.log(prev_v / target)
+    b = math.log(target / cur_v) if cur_v < target else 0.0
+    return prev_t + grid.dt * (a / (a + b) if a + b > 0 else 1.0), \
+        max_dm, max_dp
 
 
 @dataclass
@@ -752,6 +751,9 @@ def run_thermalize(spec: ExperimentSpec) -> ThermalizationReport:
     produce exactly zero deviation at every sample.
     """
     cfg = spec.config
+    if cfg.nu_list:
+        raise ConfigError("thermalize runs the single frequency `nu`; "
+                          "`nu_list` is not read, leave it empty")
     nu = cfg.nu
     if nu <= 0.0:
         raise DomainError("relaxation needs nu > 0")
@@ -781,30 +783,23 @@ def run_thermalize(spec: ExperimentSpec) -> ThermalizationReport:
     kin = []
     fld = []
 
-    def take():
-        c = conserved_quantities(f, w)
-        m = compute_moments(f, w)
+    def take(state, cons, i):
+        if i % stride and i != n_steps:
+            return
+        m = compute_moments(state, w)
         iso = SpectralField.zeros(grid)
-        iso.data[i0] = f.data[i0]
-        t_s.append(f.time)
+        iso.data[i0] = state.data[i0]
+        t_s.append(state.time)
         f0_dev.append(norm_sobolev_moment(iso, s=cfg.norm_beta, q=cfg.norm_m))
         u0_abs.append(abs(complex(m.u[i0])))
         t0_dev.append(abs(complex(m.T[i0])))
-        total = float(np.sum(np.abs(f.data) ** 2))
-        row0 = float(np.sum(np.abs(f.data[i0]) ** 2))
+        total = float(np.sum(np.abs(state.data) ** 2))
+        row0 = float(np.sum(np.abs(state.data[i0]) ** 2))
         fneq.append(math.sqrt(max(total - row0, 0.0) * grid.d_eta))
-        kin.append(c.kinetic_energy)
-        fld.append(c.field_energy)
+        kin.append(cons.kinetic_energy)
+        fld.append(cons.field_energy)
 
-    take()
-    max_dm = 0.0
-    max_dp = 0.0
-    for i in range(1, n_steps + 1):
-        diag = step(f, nu, w, mode="full")
-        max_dm = max(max_dm, abs(diag.mass_drift))
-        max_dp = max(max_dp, abs(diag.momentum_drift))
-        if i % stride == 0 or i == n_steps:
-            take()
+    max_dm, max_dp, _ = march(f, nu, w, n_steps, "full", take)
 
     t_arr = np.asarray(t_s)
     f0_arr = np.asarray(f0_dev)

@@ -51,7 +51,7 @@ class InteractionKernel:
         label: short name used in manifests.
         table: explicit weights for the modes that carry any; missing modes
             weigh 0.  Weights must satisfy 0 <= w_hat(k) <= C / |k| for some
-            C; bound_constant reports the smallest C over the stored table.
+            C.
     """
 
     label: str
@@ -68,12 +68,6 @@ class InteractionKernel:
         if k == 0:
             raise DomainError("interaction weight is defined for k != 0 only")
         return self.table.get(int(k), 0.0)
-
-    @property
-    def bound_constant(self) -> float:
-        if not self.table:
-            return 0.0
-        return max(abs(k) * v for k, v in self.table.items())
 
     @staticmethod
     def coulomb(k_max: int = 64) -> "InteractionKernel":
@@ -120,7 +114,8 @@ class VolterraProblem:
         k: spatial mode, != 0.
         nu: collision frequency.
         delta: premultiplication rate (units of nu^(1/3)).
-        source: premultiplied forcing F on the time grid, or a callable t -> F.
+        source: premultiplied forcing F sampled on the time grid
+            t_j = j dt, j = 0 .. round(t_final / dt).
         dt: time step.
         t_final: horizon.
         kernel_override: optional callable dt -> K used verbatim (with its
@@ -131,7 +126,7 @@ class VolterraProblem:
     k: int
     nu: float
     delta: float
-    source: Callable | np.ndarray
+    source: np.ndarray
     dt: float
     t_final: float
     kernel_override: Callable | None = None
@@ -170,13 +165,9 @@ def volterra_solve(problem: VolterraProblem, w: InteractionKernel | None = None)
         if w is None:
             raise DomainError("an interaction kernel is required")
         kern = -kernel_K0(t, problem.k, problem.nu, problem.delta, w).astype(complex)
-    if callable(problem.source):
-        f = np.asarray([problem.source(float(ti)) for ti in t], dtype=complex)
-    else:
-        f = np.asarray(problem.source, dtype=complex)
-        if f.shape != t.shape:
-            raise DomainError(
-                f"source grid has shape {f.shape}, expected {t.shape}")
+    f = np.asarray(problem.source, dtype=complex)
+    if f.shape != t.shape:
+        raise DomainError(f"source grid has shape {f.shape}, expected {t.shape}")
     meta: dict = {"n_steps": n, "dt": problem.dt}
     scale = max(abs(kern[1]), abs(kern[2]))
     if scale > 0 and abs(kern[2] - kern[1]) > 0.5 * scale:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -545,21 +546,16 @@ def _rk4_substep(field: SpectralField, nu: float, w: InteractionKernel,
 
 @dataclass
 class StepDiagnostics:
-    """Conservation drifts and guard readings of one step, with the
-    conserved quantities of the state before and after it."""
+    """Guard readings of one step: the reality defect its symmetrization
+    removed and the edge-to-peak amplitude ratio."""
 
-    mass_drift: float
-    momentum_drift: float
-    energy_drift: float
     reality_defect: float
     boundary_ratio: float
-    before: ConservedQuantities
-    after: ConservedQuantities
 
 
 def step(field: SpectralField, nu: float, w: InteractionKernel,
          mode: str = "full") -> StepDiagnostics:
-    """Advance one full time step and report conservation drifts.
+    """Advance one full time step and report its guard readings.
 
     The substeps advance a copy of the field; its data and time are written
     back only after every guard has passed, so a step that raises leaves
@@ -568,7 +564,6 @@ def step(field: SpectralField, nu: float, w: InteractionKernel,
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
     dt = field.grid.dt
-    before = conserved_quantities(field, w)
     new = field.copy()
     ou_step(new, nu, 0.5 * dt)
     _rk4_substep(new, nu, w, mode, 0.5 * dt)
@@ -581,18 +576,35 @@ def step(field: SpectralField, nu: float, w: InteractionKernel,
     defect = new.enforce_reality()
     edge_ratio = new.check_boundary()
     new.time += dt
-    after = conserved_quantities(new, w)
     field.data = new.data
     field.time = new.time
-    return StepDiagnostics(
-        mass_drift=after.mass - before.mass,
-        momentum_drift=after.momentum - before.momentum,
-        energy_drift=after.total_energy - before.total_energy,
-        reality_defect=defect,
-        boundary_ratio=edge_ratio,
-        before=before,
-        after=after,
-    )
+    return StepDiagnostics(reality_defect=defect, boundary_ratio=edge_ratio)
+
+
+def march(field: SpectralField, nu: float, w: InteractionKernel, n_steps: int,
+          mode: str,
+          observe: Callable[[SpectralField, ConservedQuantities, int], bool | None]
+          ) -> tuple[float, float, float]:
+    """Advance the field up to n_steps steps, measuring every state once.
+
+    The conserved quantities are measured on the initial state and after
+    each step.  observe(field, cons, i) sees state i (0 is the initial
+    state) with its conserved quantities; a true return stops the march
+    there.  Returns the largest |mass drift|, |momentum drift| and reality
+    defect over the steps taken.
+    """
+    cons = conserved_quantities(field, w)
+    max_dm = max_dp = max_re = 0.0
+    i = 0
+    while not observe(field, cons, i) and i < n_steps:
+        diag = step(field, nu, w, mode)
+        after = conserved_quantities(field, w)
+        max_dm = max(max_dm, abs(after.mass - cons.mass))
+        max_dp = max(max_dp, abs(after.momentum - cons.momentum))
+        max_re = max(max_re, diag.reality_defect)
+        cons = after
+        i += 1
+    return max_dm, max_dp, max_re
 
 
 @dataclass
@@ -616,54 +628,24 @@ def run_simulation(field: SpectralField, nu: float, w: InteractionKernel,
                    n_steps: int, mode: str = "full") -> RunResult:
     """March n_steps from the given state, collecting moment series.
 
-    The initial instant and the state after every step are recorded, along
-    with the per-step conservation drifts.
+    The march's observer records the moments and conserved quantities of
+    the initial instant and of the state after every step; the drift
+    maxima are the march's.
     """
     if n_steps < 1:
         raise DomainError("need at least one step")
-    times = []
-    rho = []
-    e_field = []
-    cons: dict[str, list] = {k: [] for k in
-                             ("mass", "momentum", "kinetic", "field")}
+    rows = []
 
-    def record_moments():
-        m = compute_moments(field, w)
-        times.append(field.time)
-        rho.append(m.rho)
-        e_field.append(m.e_field)
+    def record(f: SpectralField, c: ConservedQuantities, _i: int) -> None:
+        m = compute_moments(f, w)
+        rows.append((f.time, m.rho, m.e_field, c.mass, c.momentum,
+                     c.kinetic_energy, c.field_energy))
 
-    # step measures the conserved quantities of the states it starts and
-    # ends on; the records take them from its diagnostics
-    def record_conserved(c: ConservedQuantities):
-        cons["mass"].append(c.mass)
-        cons["momentum"].append(c.momentum)
-        cons["kinetic"].append(c.kinetic_energy)
-        cons["field"].append(c.field_energy)
-
-    record_moments()
-    max_dm = 0.0
-    max_dp = 0.0
-    max_re = 0.0
-    for i in range(1, n_steps + 1):
-        diag = step(field, nu, w, mode)
-        if i == 1:
-            record_conserved(diag.before)
-        max_dm = max(max_dm, abs(diag.mass_drift))
-        max_dp = max(max_dp, abs(diag.momentum_drift))
-        max_re = max(max_re, diag.reality_defect)
-        record_moments()
-        record_conserved(diag.after)
-    return RunResult(
-        times=np.asarray(times),
-        rho=np.asarray(rho),
-        e_field=np.asarray(e_field),
-        mass=np.asarray(cons["mass"]),
-        momentum=np.asarray(cons["momentum"]),
-        kinetic_energy=np.asarray(cons["kinetic"]),
-        field_energy=np.asarray(cons["field"]),
-        max_mass_drift=max_dm,
-        max_momentum_drift=max_dp,
-        max_reality_defect=max_re,
-        final=field,
-    )
+    max_dm, max_dp, max_re = march(field, nu, w, n_steps, mode, record)
+    times, rho, e_field, mass, momentum, kinetic, field_e = (
+        np.asarray(col) for col in zip(*rows))
+    return RunResult(times=times, rho=rho, e_field=e_field, mass=mass,
+                     momentum=momentum, kinetic_energy=kinetic,
+                     field_energy=field_e, max_mass_drift=max_dm,
+                     max_momentum_drift=max_dp, max_reality_defect=max_re,
+                     final=field)

@@ -10,7 +10,6 @@ cover the same code at trimmed sizes.
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -10,7 +10,6 @@ needs the settled second half of the series.
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from vpfp.errors import ConfigError, DomainError, HorizonError
 from vpfp.experiments import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
-    PowerFit,
     _measured_half_life,
     fit_power_law,
     fit_power_plane,
@@ -339,6 +337,12 @@ class TestThermalize:
     def test_rejects_modes_outside_the_band(self):
         cfg = RunConfig(mode_k=3)
         with pytest.raises(DomainError):
+            run_thermalize(ExperimentSpec.from_config("thermalize", cfg))
+
+    def test_rejects_nu_list(self):
+        # thermalize runs cfg.nu alone; a frequency list would be ignored
+        cfg = parse_config("nu = 0.01\nnu_list = 1e-3, 1e-4\nt_final = 20\n")
+        with pytest.raises(ConfigError, match="nu_list"):
             run_thermalize(ExperimentSpec.from_config("thermalize", cfg))
 
 

@@ -22,7 +22,7 @@ from vpfp.multiplier import (
     norm_f,
     norm_sobolev_moment,
 )
-from vpfp.semigroup import bar_eta, eta_ct
+from vpfp.semigroup import bar_eta
 
 
 def multiplier_oracle(t, k, eta, nu):

@@ -19,14 +19,15 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import roots_hermite
 
 from vpfp.errors import AliasingError, DomainError, StateEscapeError
+from vpfp import solver
 from vpfp.grids import PhaseGrid, SpectralField
 from vpfp.linear_theory import (InteractionKernel, VolterraProblem,
                                 free_streaming_source, volterra_solve)
 from vpfp.solver import (HydroMoments, InitialData, Mode, _ou_plan,
                          _rhs_full, _rk4_substep, compute_moments,
                          conserved_quantities, conv_matrix, init_state,
-                         moment_closure_residuals, ou_step, run_simulation,
-                         step, transport_step)
+                         march, moment_closure_residuals, ou_step,
+                         run_simulation, step, transport_step)
 
 
 def small_grid(k_max=2, eta_max=16.0, n_eta=256):
@@ -647,20 +648,30 @@ class TestConservationRun:
         assert res.times[-1] == pytest.approx(10 * g.dt)
 
     def test_recorded_conserved_quantities_are_those_of_the_states(self):
-        # the records reuse step's measurements; replay and measure directly
+        # the records and drift maxima come from the march's one measurement
+        # per state; replay and measure directly.  The off-centre complex
+        # bump gives nonzero momentum drifts and reality defects.
         g = small_grid(k_max=1, eta_max=16.0, n_eta=128)
         w = coulomb(1)
-        f, _ = init_state(InitialData(eps=1e-2, modes=(Mode(1, 1.0),)), g, w)
+        f, _ = init_state(InitialData(
+            eps=1e-2, modes=(Mode(1, 0.8 + 0.3j, 0.7, 1.0),)), g, w)
         replay = f.copy()
         res = run_simulation(f, 1e-2, w, 7, mode="full")
         want = [conserved_quantities(replay, w)]
+        defects = []
         for _ in range(7):
-            step(replay, 1e-2, w, "full")
+            defects.append(step(replay, 1e-2, w, "full").reality_defect)
             want.append(conserved_quantities(replay, w))
         assert res.mass.tolist() == [c.mass for c in want]
         assert res.momentum.tolist() == [c.momentum for c in want]
         assert res.kinetic_energy.tolist() == [c.kinetic_energy for c in want]
         assert res.field_energy.tolist() == [c.field_energy for c in want]
+        pairs = list(zip(want, want[1:]))
+        assert res.max_mass_drift == max(abs(b.mass - a.mass) for a, b in pairs)
+        assert res.max_momentum_drift == max(
+            abs(b.momentum - a.momentum) for a, b in pairs)
+        assert res.max_momentum_drift > 0.0
+        assert res.max_reality_defect == max(defects) > 0.0
 
     def test_linear_regime_matches_volterra(self):
         # full nonlinear solver against the independently discretized
@@ -676,13 +687,54 @@ class TestConservationRun:
         def h_in(k, eta):
             return eps * np.exp(-eta ** 2 / 2.0) if abs(k) == 1 else 0.0
 
+        t = np.arange(int(round(30.0 / g.dt)) + 1) * g.dt
         prob = VolterraProblem(
             k=1, nu=nu, delta=0.0,
-            source=lambda t: free_streaming_source(h_in, t, 1, nu),
+            source=free_streaming_source(h_in, t, 1, nu),
             dt=g.dt, t_final=30.0)
         vres = volterra_solve(prob, w=w)
         n = min(len(vres.rho), len(rho_solver))
         num = np.max(np.abs(rho_solver[:n] - np.abs(vres.rho[:n])))
         den = np.max(np.abs(vres.rho[:n]))
         assert num / den < 0.05
+
+
+class TestMarch:
+    @staticmethod
+    def start():
+        g = small_grid(k_max=1, eta_max=16.0, n_eta=128)
+        w = coulomb(1)
+        f, _ = init_state(InitialData(eps=1e-2, modes=(Mode(1, 1.0),)), g, w)
+        return f, w
+
+    def test_true_observe_stops_at_that_state(self):
+        f, w = self.start()
+        replay = f.copy()
+        seen = []
+
+        def stop_at_three(field, cons, i):
+            seen.append((i, field.time, cons))
+            return i == 3
+
+        march(f, 1e-2, w, 10, "full", stop_at_three)
+        for _ in range(3):
+            step(replay, 1e-2, w, "full")
+        assert [i for i, _, _ in seen] == [0, 1, 2, 3]
+        assert np.array_equal(f.data, replay.data)
+        assert f.time == replay.time == seen[-1][1]
+        assert seen[-1][2] == conserved_quantities(replay, w)
+
+    @pytest.mark.parametrize("mode", ["full", "linear", "free"])
+    def test_measures_each_state_once(self, monkeypatch, mode):
+        f, w = self.start()
+        measured = []
+
+        def counted(field, kernel):
+            measured.append(field.time)
+            return conserved_quantities(field, kernel)
+
+        monkeypatch.setattr(solver, "conserved_quantities", counted)
+        res = run_simulation(f, 1e-2, w, 7, mode=mode)
+        assert measured == res.times.tolist()
+        assert len(measured) == 7 + 1
 
