@@ -68,6 +68,9 @@ def _default_nu_list(kind: str, config: RunConfig) -> tuple:
         return (1e-9, 1e-6, 1e-5, 1e-4, 1e-3)
     if kind == "threshold":
         return tuple(float(v) for v in np.geomspace(1e-6, 1e-4, 5))
+    if kind == "thermalize" and config.nu <= 0.0:
+        raise ConfigError(f"thermalize runs the single frequency `nu`, which "
+                          f"must be positive, got nu = {config.nu!r}")
     return (config.nu,)
 
 
@@ -615,7 +618,9 @@ def run_threshold_scan(spec: ExperimentSpec) -> ThresholdReport:
     baseline density history (linear mode is exactly scale-free, so the
     reference rescales to any eps).  An amplitude classifies as nonlinear
     when the full run exceeds threshold_factor times the scaled reference
-    anywhere above the classifier floor.  The departure amplitude is then
+    anywhere above the classifier floor; each classifier run stops at its
+    first such departure, so its drifts cover only the steps it took.  The
+    departure amplitude is then
     log-bisected until hi/lo <= threshold_ratio_tol (about two significant
     digits at the default).  A cap verdict of linear marks the cell
     saturated; a classifier trace that is not monotone in eps is flagged
@@ -648,13 +653,19 @@ def run_threshold_scan(spec: ExperimentSpec) -> ThresholdReport:
 
         def classify(eps_val: float) -> bool:
             g, _ = init_state(InitialData(eps=eps_val, modes=modes), grid, w)
-            r = run_simulation(g, nu, w, n_steps, mode="full")
-            drifts[0] = max(drifts[0], r.max_mass_drift)
-            drifts[1] = max(drifts[1], r.max_momentum_drift)
-            nl = np.max(np.abs(r.rho[:, cols]), axis=1)
             lin = lin_unit * eps_val
             floor = _CLASSIFIER_FLOOR * lin_peak_unit * eps_val
-            hit = bool(np.any((nl > factor * lin) & (nl >= floor)))
+            hit = False
+
+            def departed(state, _cons, i):
+                nonlocal hit
+                nl = np.max(np.abs(compute_moments(state, w).rho[cols]))
+                hit = bool(nl > factor * lin[i] and nl >= floor)
+                return hit
+
+            dm, dp, _ = march(g, nu, w, n_steps, "full", departed)
+            drifts[0] = max(drifts[0], dm)
+            drifts[1] = max(drifts[1], dp)
             trace.append({"nu": nu, "eps": float(eps_val),
                           "verdict": "nonlinear" if hit else "linear"})
             return hit
@@ -754,9 +765,7 @@ def run_thermalize(spec: ExperimentSpec) -> ThermalizationReport:
     if cfg.nu_list:
         raise ConfigError("thermalize runs the single frequency `nu`; "
                           "`nu_list` is not read, leave it empty")
-    nu = cfg.nu
-    if nu <= 0.0:
-        raise DomainError("relaxation needs nu > 0")
+    nu = spec.nu_list[0]
     if abs(cfg.mode_k) > 2:
         raise DomainError("thermalize keeps modes |k| <= 2")
     d_eta = _D_ETA["thermalize"]

@@ -22,6 +22,8 @@ Runge-Kutta sub-flows symmetrically:
   * N: the coupling terms (self-consistent force and the moment-feedback
     corrections that give the collision operator its local conservation
     laws) integrated with classical RK4, moments recomputed every stage.
+    The eta rows, kernel rows and x-profile matrix these stages read depend
+    only on the grid and the kernel row and are cached read-only as well.
 
 Convolutions in k are exact direct sums over the truncated band.  The
 moment closure follows the density, momentum and second-moment columns of
@@ -76,16 +78,58 @@ def conv_matrix(coeffs: np.ndarray) -> np.ndarray:
     n = coeffs.shape[0]
     pad = np.zeros(2 * n - 1, dtype=coeffs.dtype)
     pad[n - 1 - (n // 2): n - 1 - (n // 2) + n] = coeffs
+    return pad[_conv_index(n)]
+
+
+@functools.lru_cache(maxsize=16)
+def _conv_index(n: int) -> np.ndarray:
     idx = np.arange(n)
-    return pad[(idx[:, None] - idx[None, :]) + n - 1]
+    return _read_only((idx[:, None] - idx[None, :]) + n - 1)
 
 
-def x_profile(coeffs: np.ndarray, k_values: np.ndarray) -> np.ndarray:
-    """Real spatial profile sum_k coeffs(k) e^(i k x) on a uniform x grid."""
-    n_x = _X_OVERSAMPLE * coeffs.shape[0]
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class _StepPlan:
+    """What the coupling RHS and the moment closure need that depends only
+    on the grid: eta rows of shape (1, n_eta) and the matrix taking band
+    coefficients to their real spatial profile sum_k c(k) e^(i k x) on an
+    oversampled uniform x grid."""
+
+    eta: np.ndarray        # eta
+    neg_eta2: np.ndarray   # -(eta^2)
+    i_eta: np.ndarray      # 1j eta
+    mu: np.ndarray         # mu_hat(eta)
+    i_eta_mu: np.ndarray   # 1j eta mu_hat(eta), one-dimensional
+    x_modes: np.ndarray    # e^(i k x), shape (n_x, n_k)
+
+
+@functools.lru_cache(maxsize=16)
+def _step_plan(grid: PhaseGrid) -> _StepPlan:
+    eta = grid.eta
+    n_x = _X_OVERSAMPLE * grid.n_k
     x = 2.0 * np.pi * np.arange(n_x) / n_x
-    vals = np.exp(1j * np.outer(x, k_values)) @ coeffs
-    return vals.real
+    row = eta[None, :]
+    return _StepPlan(*(_read_only(a) for a in (
+        row, -(row ** 2), 1j * row, mu_hat(row), 1j * eta * mu_hat(eta),
+        np.exp(1j * np.outer(x, grid.k_values)))))
+
+
+def _force_rows(grid: PhaseGrid, w: InteractionKernel) -> tuple[np.ndarray, np.ndarray]:
+    """-1j k w(k) and (k w(k))^2 on each lattice row (the k = 0 row carries
+    no force), cached on the grid and the kernel's row values."""
+    return _force_rows_of(grid, tuple(
+        w(k) if k != 0 else 0.0 for k in range(-grid.k_max, grid.k_max + 1)))
+
+
+@functools.lru_cache(maxsize=16)
+def _force_rows_of(grid: PhaseGrid, w_row: tuple) -> tuple[np.ndarray, np.ndarray]:
+    kf = grid.k_values.astype(float)
+    wk = np.array(w_row)
+    return _read_only(-1j * kf * wk), _read_only((kf * wk) ** 2)
 
 
 @dataclass
@@ -119,11 +163,6 @@ def _eta_stencils(d: np.ndarray, g: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def _kernel_row(grid: PhaseGrid, w: InteractionKernel) -> np.ndarray:
-    """w(k) on each lattice row; the k = 0 row carries no force."""
-    return np.array([w(int(k)) if k != 0 else 0.0 for k in grid.k_values])
-
-
 def _closure_solve(rho_mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Iterate x <- rhs - rho * x to solve (1 + rho) * x = rhs in band form."""
     x = rhs.copy()
@@ -145,12 +184,12 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
             drops to POSITIVITY_FLOOR or below.
     """
     g = field.grid
+    x_modes = _step_plan(g).x_modes
     d1, d2 = _eta_stencils(field.data, g)
     rho = field.data[:, g.i_zero].copy()
     m1 = 1j * d1
     m2 = -d2
-    k_vals = g.k_values
-    rho_x = x_profile(rho, k_vals)
+    rho_x = (x_modes @ rho).real
     sup_rho = float(np.max(np.abs(rho_x)))
     if sup_rho >= CLOSURE_SUP_BOUND:
         raise StateEscapeError(
@@ -163,12 +202,11 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
     u = _closure_solve(rho_mat, m1, "velocity")
     m_t = m2 - conv_matrix(m1) @ u
     temp = _closure_solve(rho_mat, m_t, "temperature")
-    temp_x = x_profile(temp, k_vals)
+    temp_x = (x_modes @ temp).real
     if float(np.min(1.0 + temp_x)) <= POSITIVITY_FLOOR:
         raise StateEscapeError(
             f"temperature profile dropped to the positivity floor {POSITIVITY_FLOOR}")
-    kf = k_vals.astype(float)
-    e_field = -1j * kf * _kernel_row(g, w) * rho
+    e_field = _force_rows(g, w)[0] * rho
     return HydroMoments(rho=rho, m1=m1, m2=m2, u=u, m_t=m_t, T=temp,
                         e_field=e_field, sup_rho=sup_rho)
 
@@ -208,9 +246,7 @@ def conserved_quantities(field: SpectralField, w: InteractionKernel) -> Conserve
     momentum = 2.0 * math.pi * float((1j * d1[i0]).real)
     kinetic = math.pi * (1.0 + float((-d2[i0]).real))
     rho = field.data[:, g.i_zero]
-    kf = g.k_values.astype(float)
-    wk = _kernel_row(g, w)
-    field_e = math.pi * float(np.sum((kf * wk) ** 2 * np.abs(rho) ** 2))
+    field_e = math.pi * float(np.sum(_force_rows(g, w)[1] * np.abs(rho) ** 2))
     return ConservedQuantities(mass=mass, momentum=momentum,
                                kinetic_energy=kinetic, field_energy=field_e)
 
@@ -362,11 +398,6 @@ def transport_step(field: SpectralField) -> None:
 _BLOCK_VALUES = 1 << 14
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _edge_slope(h0, h1, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """Moler's one-sided three-point end slope, limited to keep the shape."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
@@ -497,32 +528,29 @@ def ou_step(field: SpectralField, nu: float, dt: float) -> None:
 def _rhs_full(field: SpectralField, m: HydroMoments,
               nu: float) -> np.ndarray:
     g = field.grid
-    eta = g.eta[None, :]
+    p = _step_plan(g)
     d = field.data
     # 4th-order centered eta-derivative, zero-filled at the edges.
     dh = np.zeros_like(d)
     dh[:, 2:-2] = (d[:, :-4] - 8.0 * d[:, 1:-3] + 8.0 * d[:, 3:-1]
                    - d[:, 4:]) / (12.0 * g.d_eta)
-    mu = mu_hat(eta)
     with_bg = d.copy()
-    with_bg[g.k_index(0)] += mu[0]
+    with_bg[g.k_index(0)] += p.mu[0]
     e_mat = conv_matrix(m.e_field)
-    force = 1j * eta * (e_mat @ with_bg)
-    c_mu = (-(eta ** 2) * m.m_t[:, None] - 1j * eta * m.m1[:, None]) * mu
-    diff_part = -(eta ** 2) * d - eta * dh
+    force = p.i_eta * (e_mat @ with_bg)
+    c_mu = (p.neg_eta2 * m.m_t[:, None] - p.i_eta * m.m1[:, None]) * p.mu
+    neg_eta2_d = p.neg_eta2 * d
+    diff_part = neg_eta2_d - p.eta * dh
     c_h = (conv_matrix(m.rho) @ diff_part
-           + conv_matrix(m.m_t) @ (-(eta ** 2) * d)
-           - conv_matrix(m.m1) @ (1j * eta * d))
+           + conv_matrix(m.m_t) @ neg_eta2_d
+           - conv_matrix(m.m1) @ (p.i_eta * d))
     return -force + nu * (c_mu + c_h)
 
 
 def _rhs_linear(field: SpectralField, w: InteractionKernel) -> np.ndarray:
     g = field.grid
-    rho = field.data[:, g.i_zero]
-    kf = g.k_values.astype(float)
-    e = -1j * kf * _kernel_row(g, w) * rho
-    eta = g.eta
-    return -np.outer(e, 1j * eta * mu_hat(eta))
+    e = _force_rows(g, w)[0] * field.data[:, g.i_zero]
+    return -np.outer(e, _step_plan(g).i_eta_mu)
 
 
 def _rk4_substep(field: SpectralField, nu: float, w: InteractionKernel,

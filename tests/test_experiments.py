@@ -14,11 +14,15 @@ import math
 import numpy as np
 import pytest
 
+from vpfp import experiments, solver
 from vpfp.errors import ConfigError, DomainError, HorizonError
 from vpfp.experiments import (
+    _CLASSIFIER_FLOOR,
+    _D_ETA,
     EXPERIMENT_KINDS,
     ExperimentSpec,
     _measured_half_life,
+    _window,
     fit_power_law,
     fit_power_plane,
     rerun_from_manifest,
@@ -33,6 +37,7 @@ from vpfp.experiments import (
 from vpfp.io_config import (RunConfig, config_hash, parse_config, read_csv,
                             read_manifest)
 from vpfp.semigroup import s_density_exponent
+from vpfp.solver import InitialData, Mode, init_state, run_simulation
 
 LN2 = math.log(2.0)
 
@@ -267,14 +272,126 @@ class TestEcho:
             run_echo(ExperimentSpec.from_config("echo", cfg))
 
 
+THRESHOLD_CFG = RunConfig(nu_list=(1e-4,), threshold_ratio_tol=1.3)
+
+
 @pytest.fixture(scope="module")
-def threshold_report():
-    cfg = RunConfig(nu_list=(1e-4,), threshold_ratio_tol=1.3)
-    return run_threshold_scan(ExperimentSpec.from_config(
-        "threshold", cfg))
+def threshold_run():
+    """The scan, with the steps each classifier march took counted: a list
+    of (n_steps asked, steps taken) in trace order."""
+    marches = []
+    taken = [0]
+    real_step, real_march = solver.step, experiments.march
+
+    def counted_step(*args, **kwargs):
+        taken[0] += 1
+        return real_step(*args, **kwargs)
+
+    def recorded_march(field, nu, w, n_steps, mode, observe):
+        taken[0] = 0
+        out = real_march(field, nu, w, n_steps, mode, observe)
+        marches.append((n_steps, taken[0]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "step", counted_step)
+        mp.setattr(experiments, "march", recorded_march)
+        report = run_threshold_scan(ExperimentSpec.from_config(
+            "threshold", THRESHOLD_CFG))
+    return report, marches
+
+
+@pytest.fixture(scope="module")
+def threshold_report(threshold_run):
+    return threshold_run[0]
+
+
+def reference_threshold_scan(cfg):
+    """The scan with the classifier on run_simulation: every run marches the
+    whole horizon and is nonlinear when any state departs.  Returns rows,
+    trace and the index of each run's first departing state (None when
+    none departs)."""
+    rows, traces, first_hits = [], [], []
+    for nu in cfg.nu_list:
+        nu13 = nu ** (-1.0 / 3.0)
+        eta_star = 1.2 * nu13
+        t_hor = cfg.threshold_horizon * nu13
+        grid = _window(_D_ETA["threshold"], eta_star + t_hor + 12.0, 2)
+        w = cfg.kernel_object(k_max=2)
+        n_steps = int(math.ceil(t_hor / grid.dt))
+        modes = (Mode(1, 1.0, eta_star, 1.0),)
+        cols = [grid.k_index(1), grid.k_index(2)]
+        f, _ = init_state(InitialData(eps=1e-8, modes=modes), grid, w)
+        ref = run_simulation(f, nu, w, n_steps, mode="linear")
+        lin_unit = np.max(np.abs(ref.rho[:, cols]), axis=1) / 1e-8
+        drifts = [ref.max_mass_drift, ref.max_momentum_drift]
+        trace = []
+
+        def classify(eps):
+            g, _ = init_state(InitialData(eps=eps, modes=modes), grid, w)
+            r = run_simulation(g, nu, w, n_steps, mode="full")
+            drifts[0] = max(drifts[0], r.max_mass_drift)
+            drifts[1] = max(drifts[1], r.max_momentum_drift)
+            nl = np.max(np.abs(r.rho[:, cols]), axis=1)
+            floor = _CLASSIFIER_FLOOR * float(np.max(lin_unit)) * eps
+            departs = (nl > cfg.threshold_factor * lin_unit * eps) & (nl >= floor)
+            hit = bool(np.any(departs))
+            first_hits.append(int(np.argmax(departs)) if hit else None)
+            trace.append({"nu": nu, "eps": float(eps),
+                          "verdict": "nonlinear" if hit else "linear"})
+            return hit
+
+        saturated = degenerate = False
+        eps_star = lo = hi = math.nan
+        if not classify(cfg.threshold_eps_cap):
+            saturated = True
+        else:
+            hi, lo = cfg.threshold_eps_cap, cfg.threshold_eps_cap / 6.0
+            expansions = 0
+            while classify(lo):
+                hi, lo = lo, lo / 3.0
+                expansions += 1
+                if expansions > 3:
+                    degenerate = True
+                    break
+            if not degenerate:
+                while hi / lo > cfg.threshold_ratio_tol:
+                    mid = math.sqrt(lo * hi)
+                    if classify(mid):
+                        hi = mid
+                    else:
+                        lo = mid
+                eps_star = math.sqrt(lo * hi)
+        lin_eps = [p["eps"] for p in trace if p["verdict"] == "linear"]
+        nl_eps = [p["eps"] for p in trace if p["verdict"] == "nonlinear"]
+        rows.append({"nu": nu, "eps_star": eps_star,
+                     "eps_star_2sig": float(f"{eps_star:.2g}")
+                     if math.isfinite(eps_star) else math.nan,
+                     "eps_lo": lo, "eps_hi": hi,
+                     "saturated": saturated, "degenerate": degenerate,
+                     "monotone": (not lin_eps or not nl_eps
+                                  or max(lin_eps) < min(nl_eps)),
+                     "n_classified": len(trace),
+                     "mass_drift": drifts[0], "momentum_drift": drifts[1]})
+        traces.extend(trace)
+    return rows, traces, first_hits
 
 
 class TestThreshold:
+
+    def test_runs_stop_at_their_first_departure(self, threshold_run):
+        report, marches = threshold_run
+        rows, trace, first_hits = reference_threshold_scan(THRESHOLD_CFG)
+        assert report.rows == rows
+        assert report.trace == trace
+        assert len(marches) == len(first_hits) == len(trace)
+        verdicts = {p["verdict"] for p in trace}
+        assert verdicts == {"linear", "nonlinear"}
+        for (n_steps, taken), first, p in zip(marches, first_hits, trace):
+            if p["verdict"] == "nonlinear":
+                assert taken == first < n_steps
+            else:
+                assert first is None and taken == n_steps
 
     def test_departure_amplitude_bracketed(self, threshold_report):
         row = threshold_report.rows[0]
@@ -338,6 +455,10 @@ class TestThermalize:
         cfg = RunConfig(mode_k=3)
         with pytest.raises(DomainError):
             run_thermalize(ExperimentSpec.from_config("thermalize", cfg))
+
+    def test_rejects_nonpositive_nu(self):
+        with pytest.raises(ConfigError, match="thermalize.*`nu`"):
+            run_experiment("thermalize", parse_config("nu = 0\n"))
 
     def test_rejects_nu_list(self):
         # thermalize runs cfg.nu alone; a frequency list would be ignored

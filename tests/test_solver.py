@@ -22,12 +22,14 @@ from vpfp.errors import AliasingError, DomainError, StateEscapeError
 from vpfp import solver
 from vpfp.grids import PhaseGrid, SpectralField
 from vpfp.linear_theory import (InteractionKernel, VolterraProblem,
-                                free_streaming_source, volterra_solve)
-from vpfp.solver import (HydroMoments, InitialData, Mode, _ou_plan,
-                         _rhs_full, _rk4_substep, compute_moments,
-                         conserved_quantities, conv_matrix, init_state,
-                         march, moment_closure_residuals, ou_step,
-                         run_simulation, step, transport_step)
+                                free_streaming_source, mu_hat,
+                                volterra_solve)
+from vpfp.solver import (HydroMoments, InitialData, Mode, _closure_solve,
+                         _conv_index, _eta_stencils, _force_rows, _ou_plan,
+                         _rhs_full, _rhs_linear, _rk4_substep, _step_plan,
+                         compute_moments, conserved_quantities, conv_matrix,
+                         init_state, march, moment_closure_residuals,
+                         ou_step, run_simulation, step, transport_step)
 
 
 def small_grid(k_max=2, eta_max=16.0, n_eta=256):
@@ -502,6 +504,149 @@ class TestNonlinearRhs:
             want = nu * (-eta ** 2 * 0.3 * mu[j])
             assert abs(out[g.k_index(1), j] - want) < 1e-15
         assert np.max(np.abs(out[g.k_index(0)])) == 0.0
+
+
+# References for the step plan: the formulas as they read before the plan,
+# rebuilding every eta row, kernel row and x-profile matrix per call.
+
+def ref_conv_matrix(coeffs):
+    n = coeffs.shape[0]
+    pad = np.zeros(2 * n - 1, dtype=coeffs.dtype)
+    pad[n - 1 - (n // 2): n - 1 - (n // 2) + n] = coeffs
+    idx = np.arange(n)
+    return pad[(idx[:, None] - idx[None, :]) + n - 1]
+
+
+def ref_x_profile(coeffs, k_values):
+    n_x = 4 * coeffs.shape[0]
+    x = 2.0 * np.pi * np.arange(n_x) / n_x
+    return (np.exp(1j * np.outer(x, k_values)) @ coeffs).real
+
+
+def ref_kernel_row(g, w):
+    return np.array([w(int(k)) if k != 0 else 0.0 for k in g.k_values])
+
+
+def ref_compute_moments(field, w):
+    g = field.grid
+    d1, d2 = _eta_stencils(field.data, g)
+    rho = field.data[:, g.i_zero].copy()
+    m1 = 1j * d1
+    m2 = -d2
+    k_vals = g.k_values
+    sup_rho = float(np.max(np.abs(ref_x_profile(rho, k_vals))))
+    rho_mat = ref_conv_matrix(rho)
+    u = _closure_solve(rho_mat, m1, "velocity")
+    m_t = m2 - ref_conv_matrix(m1) @ u
+    temp = _closure_solve(rho_mat, m_t, "temperature")
+    kf = k_vals.astype(float)
+    e_field = -1j * kf * ref_kernel_row(g, w) * rho
+    return HydroMoments(rho=rho, m1=m1, m2=m2, u=u, m_t=m_t, T=temp,
+                        e_field=e_field, sup_rho=sup_rho)
+
+
+def ref_conserved(field, w):
+    g = field.grid
+    d1, d2 = _eta_stencils(field.data, g)
+    i0 = g.k_index(0)
+    rho = field.data[:, g.i_zero]
+    kf = g.k_values.astype(float)
+    wk = ref_kernel_row(g, w)
+    return (2.0 * math.pi * float(field.data[i0, g.i_zero].real),
+            2.0 * math.pi * float((1j * d1[i0]).real),
+            math.pi * (1.0 + float((-d2[i0]).real)),
+            math.pi * float(np.sum((kf * wk) ** 2 * np.abs(rho) ** 2)))
+
+
+def ref_rhs_full(field, m, nu):
+    g = field.grid
+    eta = g.eta[None, :]
+    d = field.data
+    dh = np.zeros_like(d)
+    dh[:, 2:-2] = (d[:, :-4] - 8.0 * d[:, 1:-3] + 8.0 * d[:, 3:-1]
+                   - d[:, 4:]) / (12.0 * g.d_eta)
+    mu = mu_hat(eta)
+    with_bg = d.copy()
+    with_bg[g.k_index(0)] += mu[0]
+    e_mat = ref_conv_matrix(m.e_field)
+    force = 1j * eta * (e_mat @ with_bg)
+    c_mu = (-(eta ** 2) * m.m_t[:, None] - 1j * eta * m.m1[:, None]) * mu
+    diff_part = -(eta ** 2) * d - eta * dh
+    c_h = (ref_conv_matrix(m.rho) @ diff_part
+           + ref_conv_matrix(m.m_t) @ (-(eta ** 2) * d)
+           - ref_conv_matrix(m.m1) @ (1j * eta * d))
+    return -force + nu * (c_mu + c_h)
+
+
+def ref_rhs_linear(field, w):
+    g = field.grid
+    rho = field.data[:, g.i_zero]
+    kf = g.k_values.astype(float)
+    e = -1j * kf * ref_kernel_row(g, w) * rho
+    eta = g.eta
+    return -np.outer(e, 1j * eta * mu_hat(eta))
+
+
+class TestStepPlan:
+    # the four benchmark lattices and a non-dyadic one, as
+    # (k_max, eta_max, n_eta)
+    LATTICES = [(4, 142.0, 1136), (2, 146.0, 584), (1, 153.25, 2452),
+                (2, 64.0, 512), (3, 15.0, 900)]
+
+    @staticmethod
+    def seeded_field(g, seed):
+        """Gaussian bumps with random complex amplitudes, centers and widths
+        under random complex noise in the low bits."""
+        rng = np.random.default_rng(seed)
+        col = (g.n_k, 1)
+        amp = 0.01 * (rng.standard_normal(col) + 1j * rng.standard_normal(col))
+        bumps = amp * np.exp(-(g.eta - rng.uniform(-1.0, 1.0, col)) ** 2
+                             / (2.0 * rng.uniform(0.7, 1.5, col) ** 2))
+        noise = (rng.standard_normal((g.n_k, g.n_eta))
+                 + 1j * rng.standard_normal((g.n_k, g.n_eta)))
+        return SpectralField(grid=g, data=bumps + 1e-7 * noise)
+
+    @pytest.mark.parametrize("k_max,eta_max,n_eta", LATTICES)
+    def test_matches_per_call_reference_bit_for_bit(self, k_max, eta_max,
+                                                    n_eta):
+        g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
+                      dt=2.0 * eta_max / n_eta)
+        w = coulomb(k_max)
+        f = self.seeded_field(g, n_eta)
+        m = compute_moments(f, w)
+        want = ref_compute_moments(f, w)
+        for fld in fields(HydroMoments):
+            got_v, want_v = getattr(m, fld.name), getattr(want, fld.name)
+            assert np.asarray(got_v).tobytes() == np.asarray(want_v).tobytes()
+        c = conserved_quantities(f, w)
+        assert np.array([c.mass, c.momentum, c.kinetic_energy,
+                         c.field_energy]).tobytes() == \
+            np.array(ref_conserved(f, w)).tobytes()
+        for nu in (0.0, 1e-4, 0.37):
+            assert _rhs_full(f, m, nu).tobytes() == \
+                ref_rhs_full(f, want, nu).tobytes()
+        assert _rhs_linear(f, w).tobytes() == ref_rhs_linear(f, w).tobytes()
+
+    def test_plan_arrays_read_only(self):
+        g = small_grid()
+        plan = _step_plan(g)
+        arrays = [getattr(plan, fld.name) for fld in fields(plan)]
+        arrays += list(_force_rows(g, coulomb(2))) + [_conv_index(g.n_k)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+
+    def test_kernels_on_one_grid_get_their_own_rows(self):
+        g = small_grid(k_max=2)
+        f = self.seeded_field(g, 3)
+        custom = InteractionKernel(
+            label="custom", table={1: 0.7, -1: 0.7, 2: 0.05, -2: 0.05})
+        e_rows = []
+        for w in (coulomb(2), custom):
+            e = compute_moments(f, w).e_field
+            assert e.tobytes() == ref_compute_moments(f, w).e_field.tobytes()
+            e_rows.append(e)
+        assert not np.array_equal(*e_rows)
 
 
 class TestStep:
