@@ -21,7 +21,7 @@ from .errors import (
     VpfpError,
 )
 from .grids import PhaseGrid, SpectralField
-from .semigroup import bar_eta, eta_ct, s_density, s_density_exponent, s_general
+from .semigroup import bar_eta, eta_ct, s_density_exponent
 from .multiplier import NormSpec, norm_sobolev_moment
 from .linear_theory import (
     InteractionKernel,
@@ -64,7 +64,7 @@ __all__ = [
     "InvariantError", "NumericError", "RangeError", "StateEscapeError",
     "VpfpError",
     "PhaseGrid", "SpectralField",
-    "bar_eta", "eta_ct", "s_density", "s_density_exponent", "s_general",
+    "bar_eta", "eta_ct", "s_density_exponent",
     "NormSpec", "norm_sobolev_moment",
     "InteractionKernel", "VolterraProblem", "fit_decay_rate",
     "free_streaming_source", "penrose_scan", "volterra_solve",

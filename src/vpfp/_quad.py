@@ -3,9 +3,10 @@
 Both semigroup and multiplier exponents are integrals of smooth, non
 oscillatory integrands along characteristics.  Closed forms exist for special
 cases but cancel catastrophically in floating point, so everything funnels
-through one panel-doubling Simpson routine: all batch elements share a panel
-count, the count doubles until each element's Richardson estimate clears the
-tolerance, and converged elements drop out of the active set.
+through one panel-doubling Simpson routine, reached from both weights through
+the one front end semigroup._exponent_quadrature: all batch elements share a
+panel count, the count doubles until each element's Richardson estimate clears
+the tolerance, and converged elements drop out of the active set.
 """
 
 from __future__ import annotations

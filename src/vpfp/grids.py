@@ -45,10 +45,11 @@ class PhaseGrid:
             raise DomainError("k_max must be at least 1")
         if self.n_eta < 8 or self.n_eta % 2:
             raise DomainError("n_eta must be even and at least 8")
-        if not self.eta_max > 0:
-            raise DomainError("eta_max must be positive")
+        if not 0 < self.eta_max < np.inf:
+            raise DomainError("eta_max must be positive and finite")
         d_eta = 2.0 * self.eta_max / self.n_eta
-        if abs(self.dt - d_eta) > 1e-12 * d_eta:
+        # written so that a NaN dt fails it
+        if not abs(self.dt - d_eta) <= 1e-12 * d_eta:
             raise DomainError(
                 f"dt must equal the eta spacing {d_eta!r}, got {self.dt!r}")
 

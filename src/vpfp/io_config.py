@@ -210,6 +210,10 @@ def _validate_cross(cfg: RunConfig, lines: dict) -> None:
         raise ConfigError(
             f"{where('kernel_table')}: kernel_table is only valid with "
             f"kernel = custom")
+    if cfg.fit_t_max == 0.0 and cfg.fit_t_min > 0.0:
+        raise ConfigError(
+            f"{where('fit_t_min')}: fit_t_min needs fit_t_max; without it "
+            f"the default fit window is used")
     if cfg.fit_t_max > 0.0 and cfg.fit_t_min > cfg.fit_t_max:
         raise ConfigError(
             f"{where('fit_t_min')}: fit window is empty "
@@ -408,6 +412,8 @@ def checkpoint_load(path) -> SpectralField:
         grid = PhaseGrid(k_max=header["k_max"], eta_max=header["eta_max"],
                          n_eta=header["n_eta"], dt=header["dt"])
         time = float(header["time"])
+        if not np.isfinite(time):
+            raise ValueError(f"time must be finite, got {time!r}")
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: bad checkpoint header: {exc}") from None
     want = grid.n_k * grid.n_eta * 16

@@ -8,8 +8,10 @@ equation for the premultiplied density Phi(t) = exp(delta nu^(1/3) t) rho(t, k):
 where F is the premultiplied free-streaming contribution of the initial data
 and the physical memory kernel is -kernel_K0(t - tau):
 
-    kernel_K0(dt) = exp(delta nu^(1/3) dt) s_density(dt, k)
-                    * w_hat(k) k^2 t~ mu_hat(k t~),   t~ = (1 - e^(-nu dt)) / nu.
+    kernel_K0(dt) = exp(delta nu^(1/3) dt) S_ct(dt, k)
+                    * w_hat(k) k^2 t~ mu_hat(k t~),   t~ = (1 - e^(-nu dt)) / nu,
+
+with S_ct the critical-trace weight (semigroup.s_density_exponent).
 
 kernel_K0 is reported with the positive sign; the solver and the stability
 scan insert the physical minus sign themselves.  The stability margin
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .reports import FitResult
-from .semigroup import _phi1, eta_ct, s_density_exponent
+from .semigroup import eta_ct, s_density_exponent
 
 
 def mu_hat(eta):
@@ -96,7 +98,7 @@ def kernel_K0(dt, k: int, nu: float, delta: float, w: InteractionKernel):
     dt_a = np.asarray(dt, dtype=float)
     if np.any(dt_a < 0.0):
         raise DomainError("elapsed time must be nonnegative")
-    t_tilde = dt_a * _phi1(nu * dt_a)
+    t_tilde = eta_ct(dt_a, 1, nu)
     expo = (delta * nu ** (1.0 / 3.0) * dt_a
             + s_density_exponent(dt_a, k, nu)
             - 0.5 * (k * t_tilde) ** 2)
@@ -192,7 +194,7 @@ def volterra_solve(problem: VolterraProblem, w: InteractionKernel | None = None)
 def free_streaming_source(h_in_hat: Callable, t, k: int, nu: float):
     """Density radiated by freely advected initial data (not premultiplied).
 
-    rho_free(t) = s_density(t, k) * h_in_hat(k, eta_ct(t, k, nu)).
+    rho_free(t) = S_ct(t, k) * h_in_hat(k, eta_ct(t, k, nu)).
     """
     if k == 0:
         raise DomainError("the density equation lives on k != 0")

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_simpson_batch
 from .errors import DomainError
 from .grids import PhaseGrid, SpectralField
 from .reports import BoundReport
-from .semigroup import _phi1
+from .semigroup import _characteristic, _exponent_quadrature
 
 # Quadrature tolerance for the multiplier exponent.
 _M_RTOL = 1e-10
@@ -39,10 +38,6 @@ _NORM_BOUNDARY = 1e-12
 
 # Cap on the derivative ladder depth accepted by the weighted norms.
 _MAX_LADDER = 8
-
-# Moment-ladder normalizer K_alpha = 4^alpha.
-def _k_alpha(alpha: int) -> float:
-    return 4.0 ** alpha
 
 
 @dataclass(frozen=True)
@@ -68,33 +63,23 @@ class NormSpec:
             raise DomainError("ladder depth m must be a nonnegative integer")
 
 
-def _m_integrand(k, eta, nu):
-    def f(idx: np.ndarray, s: np.ndarray) -> np.ndarray:
-        x = nu[idx, None] * s
-        with np.errstate(over="ignore"):
-            w = np.exp(np.minimum(x, 700.0)) * (
-                eta[idx, None] - k[idx, None] * s * _phi1(x))
-            y = nu[idx, None] ** (2.0 / 3.0) * w * w
-        y = np.where(np.isfinite(y), y, np.inf)
-        return nu[idx, None] ** (1.0 / 3.0) / (1.0 + y)
+def _m_rate(s, k, eta, nu):
+    w = _characteristic(s, k, eta, nu)
+    with np.errstate(over="ignore"):
+        y = nu ** (2.0 / 3.0) * w * w
+    y = np.where(np.isfinite(y), y, np.inf)
+    return nu ** (1.0 / 3.0) / (1.0 + y)
 
-    return f
+
+def _check_m_time(t, tau, nu):
+    if np.any(t < 0.0):
+        raise DomainError("time must be nonnegative")
 
 
 def m_exponent_grid(t, k, eta, nu, rtol: float = _M_RTOL) -> np.ndarray:
     """-log M over broadcastable arrays of (t, k, eta, nu)."""
-    t_a, k_a, eta_a, nu_a = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(k, dtype=float),
-        np.asarray(eta, dtype=float), np.asarray(nu, dtype=float))
-    shape = t_a.shape
-    t_a, k_a, eta_a, nu_a = (a.ravel() for a in (t_a, k_a, eta_a, nu_a))
-    if np.any(nu_a <= 0.0):
-        raise DomainError("collision frequency must be positive")
-    if np.any(t_a < 0.0):
-        raise DomainError("time must be nonnegative")
-    out = adaptive_simpson_batch(
-        _m_integrand(k_a, eta_a, nu_a), np.zeros_like(t_a), t_a, rtol=rtol)
-    return out.reshape(shape)
+    return _exponent_quadrature(_m_rate, 0.0, t, k, eta, nu, rtol,
+                                _check_m_time)
 
 
 def m_eval_grid(t, k, eta, nu, rtol: float = _M_RTOL) -> np.ndarray:
@@ -186,7 +171,7 @@ def _ladder_norm_sq(field: SpectralField, spec: NormSpec, nu: float,
     total = 0.0
     for alpha in range(spec.m + 1):
         term = np.sum(np.abs(a_mat * derivs[alpha]) ** 2) * grid.d_eta
-        total += math.exp(-2.0 * alpha * nu * t) / _k_alpha(alpha) * term
+        total += math.exp(-2.0 * alpha * nu * t) / 4.0 ** alpha * term
     return total
 
 
@@ -209,11 +194,10 @@ def norm_d(field: SpectralField, spec: NormSpec, nu: float,
     if t is None:
         t = field.time
     grid = field.grid
-    x = nu * t
-    if x > 700.0:
+    if nu * t > 700.0:
         raise DomainError("nu t overflows the characteristic exponential")
-    w = np.exp(x) * (grid.eta[None, :]
-                     - grid.k_values[:, None].astype(float) * t * _phi1(x))
+    w = _characteristic(t, grid.k_values[:, None].astype(float),
+                        grid.eta[None, :], nu)
     return math.sqrt(_ladder_norm_sq(field, spec, nu, t, w))
 
 
@@ -283,8 +267,7 @@ def check_propM(
             for k in k_values:
                 m_row = m_eval_grid(t, float(k), etas, nu)
                 c_m = min(c_m, float(np.min(m_row)))
-                x = nu * t
-                w = np.exp(x) * (etas - k * t * _phi1(x))
+                w = _characteristic(t, k, etas, nu)
                 y = r * r * w * w
                 b_min = min(b_min, float(np.min(1.0 / (1.0 + y) + y)))
                 h = 1e-3 / r

@@ -13,18 +13,16 @@ and damps amplitude by the weight
 
 eta_ct is the critical frequency: the location whose characteristic passes
 through 0 at time t, i.e. the point of least damping.  Along the critical
-trace S collapses to a function of the elapsed time only, s_density, for
-which a closed form of the exponent exists.
+trace S collapses to a function S_ct(dt, k) of the elapsed time only, for
+which a closed form of the exponent exists (s_density_exponent).
 
-All weights are returned as SemigroupValue pairs (value, exponent) so that
-regimes where the value underflows remain comparable through the exponent.
-Exponents are computed by quadrature (see _quad) rather than by closed-form
-differences, which cancel catastrophically for nu t << 1.
+Weights are returned as exponents, which stay comparable where the weight
+underflows.  _characteristic is the one place bar_eta is written, and
+_exponent_quadrature the one quadrature front end (see _quad) of S and of
+the ghost multiplier; closed-form differences cancel for nu t << 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +40,9 @@ _SERIES_CUT = 1e-4
 # 1e-12 identity tolerances certified downstream.
 _EXPONENT_RTOL = 1e-13
 
-# s_density switches from the closed form to a series in x = nu*t below
-# this cut; the closed form loses ~8 digits near x = 1e-4 while the series
-# truncation error at the cut is ~1e-14 relative.
+# s_density_exponent switches from the closed form to a series in x = nu*t
+# below this cut; the closed form loses ~8 digits near x = 1e-4 while the
+# series truncation error at the cut is ~1e-14 relative.
 _DENSITY_SERIES_CUT = 0.1
 
 # Coefficients of g(t) = t + 2 expm1(-x)/nu - expm1(-2x)/(2 nu), x = nu t,
@@ -62,22 +60,27 @@ _DENSITY_SERIES = (
 )
 
 
-def _psi(x: np.ndarray) -> np.ndarray:
-    """(exp(x) - 1) / x with a 6-term Taylor branch near 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUT
-    xs = np.where(small, 0.0, x)
+def _phi1(x: np.ndarray) -> np.ndarray:
+    """(1 - exp(-x)) / x = expm1(y) / y, y = -x; 6-term Taylor near 0."""
+    y = -np.asarray(x, dtype=float)
+    small = np.abs(y) < _SERIES_CUT
+    ys = np.where(small, 0.0, y)
     with np.errstate(invalid="ignore", over="ignore"):
-        direct = np.expm1(xs) / np.where(small, 1.0, xs)
-    t = np.where(small, x, 0.0)
+        direct = np.expm1(ys) / np.where(small, 1.0, ys)
+    t = np.where(small, y, 0.0)
     series = 1.0 + t / 2.0 * (1.0 + t / 3.0 * (1.0 + t / 4.0 * (
         1.0 + t / 5.0 * (1.0 + t / 6.0))))
     return np.where(small, series, direct)
 
 
-def _phi1(x: np.ndarray) -> np.ndarray:
-    """(1 - exp(-x)) / x; equals _psi(-x)."""
-    return _psi(-np.asarray(x, dtype=float))
+def _characteristic(s, k, eta, nu):
+    """bar_eta(s; k, eta) = exp(nu s) (eta - k s phi1(nu s)), broadcasting.
+
+    The exponent is clamped at _EXP_ARG_MAX, which only the multiplier
+    integrand reaches past; every other caller keeps nu s below it."""
+    x = nu * s
+    with np.errstate(over="ignore"):
+        return np.exp(np.minimum(x, _EXP_ARG_MAX)) * (eta - k * s * _phi1(x))
 
 
 def _check_nu(nu: float, allow_zero: bool = False) -> float:
@@ -129,46 +132,45 @@ def bar_eta(tau, k, eta, nu):
             f"nu * tau = {float(np.max(x)):.3g} exceeds {_EXP_ARG_MAX:g}; "
             "the characteristic is no longer representable"
         )
-    out = np.exp(x) * (np.asarray(eta, dtype=float)
-                       - np.asarray(k, dtype=float) * tau_arr * _phi1(x))
+    out = _characteristic(tau_arr, np.asarray(k, dtype=float),
+                          np.asarray(eta, dtype=float), nu)
     if np.ndim(tau) == 0 and np.ndim(k) == 0 and np.ndim(eta) == 0:
         return float(out)
     return out
 
 
-@dataclass(frozen=True)
-class SemigroupValue:
-    """A damping weight kept as (value, exponent) with value = exp(exponent).
-
-    exponent <= 0 always carries full information; value is its float64
-    rendering and may underflow to 0 below exp(-745).
-    """
-
-    value: float
-    exponent: float
-
-    @staticmethod
-    def from_exponent(exponent: float) -> "SemigroupValue":
-        exponent = float(exponent)
-        if exponent > 0.0:
-            raise DomainError(f"damping exponent must be <= 0, got {exponent}")
-        return SemigroupValue(value=float(np.exp(exponent)), exponent=exponent)
-
-
-def _bar_eta_sq_nodes(k, eta, nu):
-    """Integrand rows for the general exponent quadrature."""
+def _exponent_quadrature(g, tau, t, k, eta, nu, rtol, check):
+    """int_tau^t g(s, k, eta, nu) ds over broadcastable arrays, for a
+    pointwise integrand g.  check(t, tau, nu) validates the raveled times
+    after the shared collision-frequency check."""
+    arrays = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (t, tau, k, eta, nu)))
+    t_a, tau_a, k_a, eta_a, nu_a = (a.ravel() for a in arrays)
+    if np.any(nu_a <= 0.0):
+        raise DomainError("collision frequency must be positive")
+    check(t_a, tau_a, nu_a)
 
     def f(idx: np.ndarray, s: np.ndarray) -> np.ndarray:
-        x = nu[idx, None] * s
-        w = np.exp(x) * (eta[idx, None]
-                         - k[idx, None] * s * _phi1(x))
-        return w * w
+        return g(s, k_a[idx, None], eta_a[idx, None], nu_a[idx, None])
 
-    return f
+    return adaptive_simpson_batch(f, tau_a, t_a, rtol=rtol).reshape(
+        arrays[0].shape)
+
+
+def _s_rate(s, k, eta, nu):
+    w = _characteristic(s, k, eta, nu)
+    return w * w
+
+
+def _check_s_times(t, tau, nu):
+    if np.any(tau < 0.0) or np.any(t < tau):
+        raise DomainError("times must satisfy t >= tau >= 0")
+    if np.any(nu * t > _EXP_ARG_MAX):
+        raise RangeError("nu * t overflows the characteristic exponential")
 
 
 def s_general_exponent(t, tau, k, eta, nu, rtol: float = _EXPONENT_RTOL):
-    """Exponent of S(t, tau; k, eta), vectorized over equal-length arrays.
+    """Exponent of S(t, tau; k, eta), vectorized over broadcastable arrays.
 
     Args:
         t, tau: times with t >= tau >= 0.
@@ -180,41 +182,14 @@ def s_general_exponent(t, tau, k, eta, nu, rtol: float = _EXPONENT_RTOL):
     Returns:
         ndarray of exponents, each <= 0.
     """
-    t_a, tau_a, k_a, eta_a, nu_a = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(tau, dtype=float),
-        np.asarray(k, dtype=float), np.asarray(eta, dtype=float),
-        np.asarray(nu, dtype=float))
-    shape = t_a.shape
-    t_a = t_a.ravel()
-    tau_a = tau_a.ravel()
-    k_a = k_a.ravel()
-    eta_a = eta_a.ravel()
-    nu_a = nu_a.ravel()
-    if np.any(nu_a <= 0.0):
-        raise DomainError("collision frequency must be positive")
-    if np.any(tau_a < 0.0) or np.any(t_a < tau_a):
-        raise DomainError("times must satisfy t >= tau >= 0")
-    if np.any(nu_a * t_a > _EXP_ARG_MAX):
-        raise RangeError("nu * t overflows the characteristic exponential")
-    integral = adaptive_simpson_batch(
-        _bar_eta_sq_nodes(k_a, eta_a, nu_a),
-        tau_a, t_a, rtol=rtol)
+    integral = _exponent_quadrature(_s_rate, tau, t, k, eta, nu, rtol,
+                                    _check_s_times)
     # Quadrature noise can leave a tiny negative integral at exact zeros.
-    expo = -nu_a * np.maximum(integral, 0.0)
-    return expo.reshape(shape)
-
-
-def s_general(t: float, tau: float, k: int, eta: float, nu: float) -> SemigroupValue:
-    """Damping weight S(t, tau; k, eta) accumulated between times tau and t."""
-    expo = s_general_exponent(
-        np.atleast_1d(float(t)), np.atleast_1d(float(tau)),
-        np.atleast_1d(float(k)), np.atleast_1d(float(eta)),
-        np.atleast_1d(float(nu)))
-    return SemigroupValue.from_exponent(float(expo[0]))
+    return -np.asarray(nu, dtype=float) * np.maximum(integral, 0.0)
 
 
 def s_density_exponent(dt, k, nu):
-    """Exponent of the critical-trace weight s_density(dt, k, nu).
+    """Exponent of the critical-trace weight S_ct(dt, k, nu).
 
     Closed form -(k^2/nu) * (dt + 2 expm1(-x)/nu - expm1(-2x)/(2 nu)) with
     x = nu dt, replaced below x < 0.1 by the series
@@ -243,17 +218,6 @@ def s_density_exponent(dt, k, nu):
     return out
 
 
-def s_density(dt: float, k: int, nu: float) -> SemigroupValue:
-    """Weight on the critical trace: S(t, tau) depends only on dt = t - tau."""
-    return SemigroupValue.from_exponent(float(s_density_exponent(float(dt), k, nu)))
-
-
-def _default_time_grid(nu: float, span: float, n_t: int) -> np.ndarray:
-    """Log-spaced times in (0, span * nu^(-1/3)]."""
-    t_max = span * nu ** (-1.0 / 3.0)
-    return np.geomspace(t_max * 1e-3, t_max, n_t)
-
-
 def check_propS_bounds(
     k_values=(1, 2, 3, 4),
     nu_values=(1e-5, 1e-3),
@@ -266,11 +230,11 @@ def check_propS_bounds(
 
     Three certificates over the sample grid:
       * delta0: the largest rate (found by bisection to 3 significant digits)
-        with -log s_density(t, k) >= delta0 * min(nu k^2 t^3, k^2 t / nu)
+        with -log S_ct(t, k) >= delta0 * min(nu k^2 t^3, k^2 t / nu)
         at every grid point.
-      * monotonicity of s_density in t along every (k, nu) line.
+      * monotonicity of S_ct in t along every (k, nu) line.
       * b_constant: max over elapsed times of
-        exp(delta nu^(1/3) dt) * s_density(dt, k)^p, certifying that the
+        exp(delta nu^(1/3) dt) * S_ct(dt, k)^p, certifying that the
         p-th power of the weight absorbs a slow exponential growth factor.
 
     Args:
@@ -292,7 +256,8 @@ def check_propS_bounds(
     failures = []
     exps = {}
     for nu in nu_values:
-        t = _default_time_grid(nu, t_span, n_t)
+        t_max = t_span * nu ** (-1.0 / 3.0)
+        t = np.geomspace(t_max * 1e-3, t_max, n_t)
         for k in k_values:
             e = s_density_exponent(t, k, nu)
             exps[(k, nu)] = (t, e)

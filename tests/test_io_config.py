@@ -82,6 +82,9 @@ class TestParseConfig:
     def test_empty_fit_window_rejected(self):
         with pytest.raises(ConfigError, match="fit window is empty"):
             parse_config("fit_t_min = 5\nfit_t_max = 2\n")
+        # fit_t_min alone would be ignored in favour of the default window
+        with pytest.raises(ConfigError, match="line 1: fit_t_min needs"):
+            parse_config("fit_t_min = 50\n")
 
     @pytest.mark.parametrize("key", [
         "eps_list", "output_stride", "norm_delta", "norm_delta1",
@@ -257,10 +260,16 @@ class TestCheckpoint:
         b'{"dt": 0.25, "eta_max": 8.0, "k_max": 2.5, "n_eta": 64, "time": 0.0}',
         b'[1, 2, 3]',
         b'{"dt": 0.25, "eta_max": 8.0, "k_max": 3, "n_eta": 64, "time": null}',
+        # non-finite geometry and time, each with a body of the right size
+        b'{"dt": NaN, "eta_max": 8.0, "k_max": 1, "n_eta": 128, "time": 0.0}',
+        b'{"dt": Infinity, "eta_max": Infinity, "k_max": 1, "n_eta": 128, '
+        b'"time": 0.0}',
+        b'{"dt": 0.125, "eta_max": 8.0, "k_max": 1, "n_eta": 128, "time": NaN}',
     ])
     def test_malformed_header_is_config_error(self, tmp_path, header):
         path = tmp_path / "x.ckpt"
-        # the body has the size k_max = 2.5 implies: 6 rows of 64
+        # the body has the size k_max = 2.5 implies: 6 rows of 64, which is
+        # also 3 rows of 128
         path.write_bytes(CHECKPOINT_MAGIC
                          + struct.pack("<II", CHECKPOINT_VERSION, len(header))
                          + header + bytes(6 * 64 * 16))

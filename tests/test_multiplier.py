@@ -7,9 +7,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_hermite
 
+from vpfp import multiplier
+from vpfp._quad import adaptive_simpson_batch
 from vpfp.errors import DomainError
 from vpfp.grids import PhaseGrid, SpectralField
+from vpfp.io_config import RunConfig
 from vpfp.multiplier import (
+    _M_RTOL,
+    _ladder_norm_sq,
     NormSpec,
     a_weight,
     bracket,
@@ -23,6 +28,7 @@ from vpfp.multiplier import (
     norm_sobolev_moment,
 )
 from vpfp.semigroup import bar_eta
+from vpfp.solver import InitialData, Mode, init_state, step
 
 
 def multiplier_oracle(t, k, eta, nu):
@@ -230,3 +236,117 @@ class TestCheckPropM:
         # just below 0.1, so pin a regression band rather than a bound.
         assert 0.085 < cons["c_m"] < 0.105
         assert rep.satisfied
+
+
+# References for the shared characteristic and exponent front end: the
+# multiplier integrand, its front end and the norm_d row as they read when
+# each wrote the characteristic itself.
+
+def ref_phi1(x):
+    x = -np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    xs = np.where(small, 0.0, x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        direct = np.expm1(xs) / np.where(small, 1.0, xs)
+    t = np.where(small, x, 0.0)
+    series = 1.0 + t / 2.0 * (1.0 + t / 3.0 * (1.0 + t / 4.0 * (
+        1.0 + t / 5.0 * (1.0 + t / 6.0))))
+    return np.where(small, series, direct)
+
+
+def ref_m_integrand(k, eta, nu):
+    def f(idx, s):
+        x = nu[idx, None] * s
+        with np.errstate(over="ignore"):
+            w = np.exp(np.minimum(x, 700.0)) * (
+                eta[idx, None] - k[idx, None] * s * ref_phi1(x))
+            y = nu[idx, None] ** (2.0 / 3.0) * w * w
+        y = np.where(np.isfinite(y), y, np.inf)
+        return nu[idx, None] ** (1.0 / 3.0) / (1.0 + y)
+
+    return f
+
+
+def ref_m_exponent_grid(t, k, eta, nu, rtol=_M_RTOL):
+    t_a, k_a, eta_a, nu_a = np.broadcast_arrays(
+        np.asarray(t, dtype=float), np.asarray(k, dtype=float),
+        np.asarray(eta, dtype=float), np.asarray(nu, dtype=float))
+    shape = t_a.shape
+    t_a, k_a, eta_a, nu_a = (a.ravel() for a in (t_a, k_a, eta_a, nu_a))
+    out = adaptive_simpson_batch(ref_m_integrand(k_a, eta_a, nu_a),
+                                 np.zeros_like(t_a), t_a, rtol=rtol)
+    return out.reshape(shape)
+
+
+def ref_m_eval_grid(t, k, eta, nu, rtol=_M_RTOL):
+    return np.exp(-ref_m_exponent_grid(t, k, eta, nu, rtol=rtol))
+
+
+def ref_norm_d_row(grid, nu, t):
+    x = nu * t
+    return np.exp(x) * (grid.eta[None, :]
+                        - grid.k_values[:, None].astype(float) * t * ref_phi1(x))
+
+
+def ref_characteristic(s, k, eta, nu):
+    x = nu * s
+    return np.exp(x) * (eta - k * s * ref_phi1(x))
+
+
+class TestWeightBits:
+    """M and the weighted norms reproduce the former formulas bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_m_exponent_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 120
+        nu = 10 ** rng.uniform(-6, -1, n)
+        nu[:20] = 1e-9
+        k = rng.integers(-4, 5, n).astype(float)
+        k[20:40] = 0.0
+        t = rng.uniform(0.0, 5.0, n) * nu ** (-1.0 / 3.0)
+        eta = rng.normal(0.0, 10.0, n)
+        eta[40:60] = k[40:60] * t[40:60]
+        # nu t past the 700 clamp, up to 3000
+        nu[100:] = rng.uniform(0.5, 2.0, 20)
+        t[100:] = rng.uniform(700.0, 3000.0, 20) / nu[100:]
+        got = m_exponent_grid(t, k, eta, nu)
+        assert got.tobytes() == ref_m_exponent_grid(t, k, eta, nu).tobytes()
+        assert np.all(nu[100:] * t[100:] > 700.0)
+        assert np.all(np.isfinite(got))
+        assert m_eval(float(t[0]), int(k[0]), float(eta[0]), float(nu[0])) == \
+            float(ref_m_eval_grid(t[0], k[0], eta[0], nu[0]))
+
+    @pytest.fixture(scope="class")
+    def marched(self):
+        """The weighted-energy lattice (5 x 512 at dt = 0.25) after 40 full
+        steps of the default datum at the default nu = 1e-3."""
+        cfg = RunConfig()
+        grid = PhaseGrid(k_max=2, eta_max=64.0, n_eta=512, dt=0.25)
+        w = cfg.kernel_object(k_max=2)
+        field, _ = init_state(InitialData(eps=cfg.eps, modes=(
+            Mode(cfg.mode_k, 1.0, cfg.mode_center, cfg.mode_width),)), grid, w)
+        for _ in range(40):
+            step(field, cfg.nu, w, "full")
+        return field
+
+    def test_norms_on_marched_field(self, marched, monkeypatch):
+        nu, spec = RunConfig().nu, RunConfig().norm_spec()
+        got_f = norm_f(marched, spec, nu)
+        got_d = norm_d(marched, spec, nu)
+        monkeypatch.setattr(multiplier, "m_eval_grid", ref_m_eval_grid)
+        want_f = math.sqrt(_ladder_norm_sq(marched, spec, nu, marched.time,
+                                           None))
+        want_d = math.sqrt(_ladder_norm_sq(
+            marched, spec, nu, marched.time,
+            ref_norm_d_row(marched.grid, nu, marched.time)))
+        assert marched.time == 10.0
+        assert (got_f, got_d) == (want_f, want_d)
+
+    def test_check_propM(self, monkeypatch):
+        kwargs = dict(k_values=(1, -2), nu_values=(1e-5, 1e-3), n_eta=7,
+                      n_t=3, n_pairs=60)
+        got = check_propM(**kwargs).constants
+        monkeypatch.setattr(multiplier, "m_eval_grid", ref_m_eval_grid)
+        monkeypatch.setattr(multiplier, "_characteristic", ref_characteristic)
+        assert got == check_propM(**kwargs).constants

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from vpfp._quad import adaptive_simpson_batch
 from vpfp.errors import DomainError, RangeError
+from vpfp.linear_theory import InteractionKernel, kernel_K0
 from vpfp.semigroup import (
-    SemigroupValue,
+    _EXPONENT_RTOL,
     bar_eta,
     check_propS_bounds,
     eta_ct,
-    s_density,
     s_density_exponent,
-    s_general,
     s_general_exponent,
 )
 
@@ -93,13 +93,12 @@ class TestBarEta:
 
 class TestSDensity:
     def test_zero_elapsed(self):
-        v = s_density(0.0, 3, 1e-3)
-        assert v.value == 1.0 and v.exponent == 0.0
+        assert s_density_exponent(0.0, 3, 1e-3) == 0.0
 
     def test_near_collisionless_value(self):
         # Leading behavior exp(-k^2 nu dt^3 / 3).
-        v = s_density(1.0, 1, 1e-6)
-        assert v.value == pytest.approx(float(np.exp(-1e-6 / 3.0)), rel=1e-9)
+        v = np.exp(s_density_exponent(1.0, 1, 1e-6))
+        assert v == pytest.approx(float(np.exp(-1e-6 / 3.0)), rel=1e-9)
 
     @pytest.mark.parametrize("x", [1e-6, 1e-4, 3e-3, 0.05, 0.0999, 0.1001, 0.5, 1.0, 10.0])
     @pytest.mark.parametrize("k", [1, 4])
@@ -126,13 +125,12 @@ class TestSDensity:
 
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
-            s_density(-0.5, 1, 1e-3)
+            s_density_exponent(-0.5, 1, 1e-3)
 
 
 class TestSGeneral:
     def test_empty_interval(self):
-        v = s_general(2.0, 2.0, 3, 1.5, 1e-3)
-        assert v.value == 1.0 and v.exponent == 0.0
+        assert s_general_exponent(2.0, 2.0, 3, 1.5, 1e-3) == 0.0
 
     def test_quad_oracle(self):
         rng = np.random.default_rng(21)
@@ -147,7 +145,7 @@ class TestSGeneral:
                 return np.exp(nu * s) ** 2 * (eta - eta_ct(s, k, nu)) ** 2
 
             ref, err = quad(w2, tau, t, epsabs=1e-14, epsrel=1e-12, limit=200)
-            got = s_general(t, tau, k, eta, nu).exponent
+            got = float(s_general_exponent(t, tau, k, eta, nu))
             assert got == pytest.approx(-nu * ref, rel=1e-10, abs=1e-13)
 
     def test_trace_identity(self):
@@ -182,26 +180,12 @@ class TestSGeneral:
                       <= 1e-12 * np.abs(whole) + 1e-14)
 
     def test_value_in_unit_interval(self):
-        v = s_general(10.0, 0.0, 2, -3.0, 1e-4)
-        assert 0.0 < v.value <= 1.0 and v.exponent <= 0.0
+        e = s_general_exponent(10.0, 0.0, 2, -3.0, 1e-4)
+        assert e <= 0.0 and 0.0 < np.exp(e) <= 1.0
 
     def test_rejects_reversed_times(self):
         with pytest.raises(DomainError):
-            s_general(1.0, 2.0, 1, 0.0, 1e-3)
-
-
-class TestSemigroupValue:
-    def test_from_exponent(self):
-        v = SemigroupValue.from_exponent(-2.5)
-        assert v.value == pytest.approx(np.exp(-2.5), rel=1e-15)
-
-    def test_rejects_positive_exponent(self):
-        with pytest.raises(DomainError):
-            SemigroupValue.from_exponent(0.25)
-
-    def test_deep_decay_keeps_exponent(self):
-        v = SemigroupValue.from_exponent(-5e4)
-        assert v.value == 0.0 and v.exponent == -5e4
+            s_general_exponent(1.0, 2.0, 1, 0.0, 1e-3)
 
 
 class TestPropSBounds:
@@ -218,3 +202,103 @@ class TestPropSBounds:
         with pytest.raises(DomainError):
             check_propS_bounds(k_values=(0, 1))
 
+
+
+# References for the shared characteristic: the formulas as they read when
+# bar_eta, the S integrand, kernel_K0 and each norm row wrote it themselves.
+
+def ref_phi1(x):
+    x = -np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    xs = np.where(small, 0.0, x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        direct = np.expm1(xs) / np.where(small, 1.0, xs)
+    t = np.where(small, x, 0.0)
+    series = 1.0 + t / 2.0 * (1.0 + t / 3.0 * (1.0 + t / 4.0 * (
+        1.0 + t / 5.0 * (1.0 + t / 6.0))))
+    return np.where(small, series, direct)
+
+
+def ref_bar_eta(tau, k, eta, nu):
+    tau = np.asarray(tau, dtype=float)
+    x = nu * tau
+    return np.exp(x) * (np.asarray(eta, dtype=float)
+                        - np.asarray(k, dtype=float) * tau * ref_phi1(x))
+
+
+def ref_bar_eta_sq_nodes(k, eta, nu):
+    def f(idx, s):
+        x = nu[idx, None] * s
+        w = np.exp(x) * (eta[idx, None] - k[idx, None] * s * ref_phi1(x))
+        return w * w
+
+    return f
+
+
+def ref_s_general_exponent(t, tau, k, eta, nu):
+    t, tau, k, eta, nu = (a.ravel() for a in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (t, tau, k, eta, nu))))
+    integral = adaptive_simpson_batch(ref_bar_eta_sq_nodes(k, eta, nu),
+                                      tau, t, rtol=_EXPONENT_RTOL)
+    return -nu * np.maximum(integral, 0.0)
+
+
+def ref_kernel_K0(dt, k, nu, delta, w):
+    dt = np.asarray(dt, dtype=float)
+    t_tilde = dt * ref_phi1(nu * dt)
+    expo = (delta * nu ** (1.0 / 3.0) * dt
+            + s_density_exponent(dt, k, nu) - 0.5 * (k * t_tilde) ** 2)
+    return w(k) * k * k * t_tilde * np.exp(expo)
+
+
+class TestCharacteristicBits:
+    """The shared characteristic reproduces each former copy bit for bit."""
+
+    @staticmethod
+    def seeded_points(seed, n=240):
+        """Random (t, tau, k, eta, nu) with nu = 1e-9, k = 0 and the
+        critical trace eta = k t each in its own sixth of the batch."""
+        rng = np.random.default_rng(seed)
+        nu = 10 ** rng.uniform(-6, -1, n)
+        nu[: n // 6] = 1e-9
+        k = rng.integers(-4, 5, n).astype(float)
+        k[n // 6: n // 3] = 0.0
+        t = rng.uniform(0.0, 5.0, n) * nu ** (-1.0 / 3.0)
+        t = np.minimum(t, 650.0 / nu)
+        tau = t * rng.uniform(0.0, 1.0, n)
+        eta = rng.normal(0.0, 10.0, n)
+        eta[n // 3: n // 2] = k[n // 3: n // 2] * t[n // 3: n // 2]
+        return t, tau, k, eta, nu
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bar_eta(self, seed):
+        t, _, k, eta, nu = self.seeded_points(seed)
+        for nu_i in (0.0, 1e-9, 1e-3):
+            tt = np.minimum(t, 650.0 / nu_i) if nu_i else t
+            got = bar_eta(tt, k, eta, nu_i)
+            assert got.tobytes() == ref_bar_eta(tt, k, eta, nu_i).tobytes()
+        got = np.array([bar_eta(ti, ki, ei, ni)
+                        for ti, ki, ei, ni in zip(t, k, eta, nu)])
+        want = np.array([float(ref_bar_eta(ti, ki, ei, ni))
+                         for ti, ki, ei, ni in zip(t, k, eta, nu)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_s_general_exponent(self, seed):
+        t, tau, k, eta, nu = self.seeded_points(seed)
+        got = s_general_exponent(t, tau, k, eta, nu)
+        assert got.tobytes() == ref_s_general_exponent(
+            t, tau, k, eta, nu).tobytes()
+        shaped = s_general_exponent(t.reshape(12, 20), tau.reshape(12, 20),
+                                    k.reshape(12, 20), eta.reshape(12, 20),
+                                    nu.reshape(12, 20))
+        assert shaped.shape == (12, 20)
+        assert shaped.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("nu", [1e-9, 1e-5, 1e-3, 0.3])
+    def test_kernel_K0(self, nu):
+        w = InteractionKernel.coulomb()
+        dt = np.concatenate([[0.0], np.geomspace(1e-3, 2e3, 400)])
+        for k in (1, -2, 3):
+            got = kernel_K0(dt, k, nu, 0.05, w)
+            assert got.tobytes() == ref_kernel_K0(dt, k, nu, 0.05, w).tobytes()

@@ -122,6 +122,14 @@ class TestTransportStep:
                 transport_step(f)
 
 
+class TestPhaseGrid:
+    @pytest.mark.parametrize("eta_max,dt", [
+        (1.0, math.nan), (math.inf, math.inf), (math.nan, math.nan)])
+    def test_non_finite_geometry_rejected(self, eta_max, dt):
+        with pytest.raises(DomainError):
+            PhaseGrid(k_max=1, eta_max=eta_max, n_eta=8, dt=dt)
+
+
 class TestOuStep:
     def test_maxwellian_rows_exactly_invariant(self):
         g = small_grid()
