@@ -22,14 +22,20 @@ Runge-Kutta sub-flows symmetrically:
   * N: the coupling terms (self-consistent force and the moment-feedback
     corrections that give the collision operator its local conservation
     laws) integrated with classical RK4, moments recomputed every stage.
-    The eta rows, kernel rows and x-profile matrix these stages read depend
-    only on the grid and the kernel row and are cached read-only as well.
+    The k-convolutions commute with the eta-row multiplications and the
+    eta stencil, so a stage applies its three moment convolutions to the
+    state as one stacked (3 n_k x n_k) product and takes the eta-derivative
+    of one block only; the background and Maxwellian-profile terms are
+    rank-1 products with two cached rows.  The eta rows, kernel rows and
+    x-profile matrix these stages read depend only on the grid and the
+    kernel row and are cached read-only as well.
 
 Convolutions in k are exact direct sums over the truncated band.  The
 moment closure follows the density, momentum and second-moment columns of
-the lattice through one-sided stencils at eta = 0 and resolves the velocity
-u and temperature T by contraction iterations guarded against leaving the
-perturbative regime.
+the lattice through one-sided stencils at eta = 0 and solves the band
+systems (1 + rho) u = m1 and (1 + rho) T = m_t for the velocity u and
+temperature T directly, after guards that keep the state in the
+perturbative regime where 1 + rho is well conditioned.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .errors import (
     AliasingError,
     DomainError,
     InvariantError,
-    NumericError,
     StateEscapeError,
 )
 from .grids import PhaseGrid, SpectralField
@@ -54,13 +59,9 @@ from .linear_theory import InteractionKernel, mu_hat
 # Positivity floor for the reconstructed density and temperature profiles.
 POSITIVITY_FLOOR = 0.5
 
-# Sup-norm bound on the density profile under which the closure iterations
-# converge geometrically.
+# Sup-norm bound on the density profile; below it the closure matrix
+# 1 + rho has a Neumann series and is well conditioned.
 CLOSURE_SUP_BOUND = 0.5
-
-# Absolute l1 tolerance of the closure iterations.
-_CLOSURE_TOL = 1e-14
-_CLOSURE_MAX_ITER = 256
 
 # Oversampling factor of the spatial profile used by the guards.
 _X_OVERSAMPLE = 4
@@ -71,14 +72,15 @@ _MODES = ("full", "linear", "free")
 def conv_matrix(coeffs: np.ndarray) -> np.ndarray:
     """Band-truncated convolution as a matrix acting on mode vectors.
 
-    coeffs is indexed like grid.k_values; the (i, j) entry is
-    coeffs(k_i - k_j) when the difference stays inside the band, else 0,
-    so conv_matrix(a) @ b is the exact convolution truncated to the band.
+    coeffs is indexed like grid.k_values along its last axis; the (i, j)
+    entry is coeffs(k_i - k_j) when the difference stays inside the band,
+    else 0, so conv_matrix(a) @ b is the exact convolution truncated to the
+    band.  Leading axes of coeffs give a stack of matrices.
     """
-    n = coeffs.shape[0]
-    pad = np.zeros(2 * n - 1, dtype=coeffs.dtype)
-    pad[n - 1 - (n // 2): n - 1 - (n // 2) + n] = coeffs
-    return pad[_conv_index(n)]
+    n = coeffs.shape[-1]
+    pad = np.zeros(coeffs.shape[:-1] + (2 * n - 1,), dtype=coeffs.dtype)
+    pad[..., n - 1 - (n // 2): n - 1 - (n // 2) + n] = coeffs
+    return pad[..., _conv_index(n)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -95,15 +97,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _StepPlan:
     """What the coupling RHS and the moment closure need that depends only
-    on the grid: eta rows of shape (1, n_eta) and the matrix taking band
-    coefficients to their real spatial profile sum_k c(k) e^(i k x) on an
-    oversampled uniform x grid."""
+    on the grid: eta rows of shape (1, n_eta), the two Maxwellian-profile
+    rows of the rank-1 RHS terms, and the matrix taking band coefficients
+    to their real spatial profile sum_k c(k) e^(i k x) on an oversampled
+    uniform x grid."""
 
     eta: np.ndarray        # eta
     neg_eta2: np.ndarray   # -(eta^2)
-    i_eta: np.ndarray      # 1j eta
-    mu: np.ndarray         # mu_hat(eta)
     i_eta_mu: np.ndarray   # 1j eta mu_hat(eta), one-dimensional
+    eta2_mu: np.ndarray    # eta^2 mu_hat(eta), one-dimensional
     x_modes: np.ndarray    # e^(i k x), shape (n_x, n_k)
 
 
@@ -113,8 +115,9 @@ def _step_plan(grid: PhaseGrid) -> _StepPlan:
     n_x = _X_OVERSAMPLE * grid.n_k
     x = 2.0 * np.pi * np.arange(n_x) / n_x
     row = eta[None, :]
+    mu = mu_hat(eta)
     return _StepPlan(*(_read_only(a) for a in (
-        row, -(row ** 2), 1j * row, mu_hat(row), 1j * eta * mu_hat(eta),
+        row, -(row ** 2), 1j * eta * mu, eta ** 2 * mu,
         np.exp(1j * np.outer(x, grid.k_values)))))
 
 
@@ -138,8 +141,9 @@ class HydroMoments:
 
     rho, m1, m2 are the density, momentum and second-moment columns; u and
     T solve the closures (1 + rho) u = m1 and (1 + rho) T = m_t, with
-    m_t = m2 - m1 * u (all products as band convolutions); e_field is the
-    self-consistent force coefficient -i k w(k) rho(k).
+    m_t = m2 - m1 * u (all products as band convolutions, the two systems
+    solved directly in band form); e_field is the self-consistent force
+    coefficient -i k w(k) rho(k).
     """
 
     rho: np.ndarray
@@ -163,18 +167,6 @@ def _eta_stencils(d: np.ndarray, g: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def _closure_solve(rho_mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Iterate x <- rhs - rho * x to solve (1 + rho) * x = rhs in band form."""
-    x = rhs.copy()
-    for _ in range(_CLOSURE_MAX_ITER):
-        x_new = rhs - rho_mat @ x
-        inc = float(np.sum(np.abs(x_new - x)))
-        x = x_new
-        if inc < _CLOSURE_TOL:
-            return x
-    raise NumericError(f"{what} closure iteration failed to converge")
-
-
 def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
     """Hydrodynamic readouts with regime guards.
 
@@ -194,14 +186,14 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
     if sup_rho >= CLOSURE_SUP_BOUND:
         raise StateEscapeError(
             f"density profile reached sup {sup_rho:.3g} >= {CLOSURE_SUP_BOUND}; "
-            "the moment closure no longer converges")
+            "the moment closure is no longer perturbative")
     if float(np.min(1.0 + rho_x)) <= POSITIVITY_FLOOR:
         raise StateEscapeError(
             f"density profile dropped to the positivity floor {POSITIVITY_FLOOR}")
-    rho_mat = conv_matrix(rho)
-    u = _closure_solve(rho_mat, m1, "velocity")
+    closure = np.eye(g.n_k) + conv_matrix(rho)
+    u = np.linalg.solve(closure, m1)
     m_t = m2 - conv_matrix(m1) @ u
-    temp = _closure_solve(rho_mat, m_t, "temperature")
+    temp = np.linalg.solve(closure, m_t)
     temp_x = (x_modes @ temp).real
     if float(np.min(1.0 + temp_x)) <= POSITIVITY_FLOOR:
         raise StateEscapeError(
@@ -211,26 +203,12 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
                         e_field=e_field, sup_rho=sup_rho)
 
 
-def moment_closure_residuals(m: HydroMoments) -> dict[str, float]:
-    """Relative residuals of the closure identities, for verification."""
-    ru = m.u + conv_matrix(m.rho) @ m.u - m.m1
-    rt = m.T + conv_matrix(m.rho) @ m.T - m.m_t
-    s1 = max(float(np.sum(np.abs(m.m1))), 1e-300)
-    st = max(float(np.sum(np.abs(m.m_t))), 1e-300)
-    return {"u": float(np.sum(np.abs(ru))) / s1,
-            "T": float(np.sum(np.abs(rt))) / st}
-
-
 @dataclass(frozen=True)
 class ConservedQuantities:
     mass: float
     momentum: float
     kinetic_energy: float
     field_energy: float
-
-    @property
-    def total_energy(self) -> float:
-        return self.kinetic_energy + self.field_energy
 
 
 def conserved_quantities(field: SpectralField, w: InteractionKernel) -> ConservedQuantities:
@@ -527,24 +505,32 @@ def ou_step(field: SpectralField, nu: float, dt: float) -> None:
 
 def _rhs_full(field: SpectralField, m: HydroMoments,
               nu: float) -> np.ndarray:
+    """Force plus collisional moment feedback,
+
+        i eta (A h) - eta^2 (B h) - eta D (C h)
+            - (e + nu m1) (i eta mu) - nu m_t (eta^2 mu)
+
+    with A = conv(-e - nu m1), B = conv(nu (rho + m_t)), C = conv(nu rho)
+    and D the 4th-order centered eta-derivative, zero at the two edge
+    columns on each side.  The three convolutions are one stacked product,
+    with i folded into A and D's 1 / (12 d_eta) into C so that the A and C
+    blocks share their eta factor.  The last two terms are the background
+    row under the force and the Maxwellian profile of the moment feedback.
+    """
     g = field.grid
     p = _step_plan(g)
-    d = field.data
-    # 4th-order centered eta-derivative, zero-filled at the edges.
-    dh = np.zeros_like(d)
-    dh[:, 2:-2] = (d[:, :-4] - 8.0 * d[:, 1:-3] + 8.0 * d[:, 3:-1]
-                   - d[:, 4:]) / (12.0 * g.d_eta)
-    with_bg = d.copy()
-    with_bg[g.k_index(0)] += p.mu[0]
-    e_mat = conv_matrix(m.e_field)
-    force = p.i_eta * (e_mat @ with_bg)
-    c_mu = (p.neg_eta2 * m.m_t[:, None] - p.i_eta * m.m1[:, None]) * p.mu
-    neg_eta2_d = p.neg_eta2 * d
-    diff_part = neg_eta2_d - p.eta * dh
-    c_h = (conv_matrix(m.rho) @ diff_part
-           + conv_matrix(m.m_t) @ neg_eta2_d
-           - conv_matrix(m.m1) @ (p.i_eta * d))
-    return -force + nu * (c_mu + c_h)
+    n = g.n_k
+    feed = m.e_field + nu * m.m1
+    coeffs = np.stack((-1j * feed, nu * (m.rho + m.m_t),
+                       nu / (12.0 * g.d_eta) * m.rho))
+    a_h, b_h, c_h = (conv_matrix(coeffs).reshape(3 * n, n)
+                     @ field.data).reshape(3, n, -1)
+    a_h[:, 2:-2] -= (c_h[:, :-4] - c_h[:, 4:]) - 8.0 * (c_h[:, 1:-3] - c_h[:, 3:-1])
+    out = p.eta * a_h
+    out += p.neg_eta2 * b_h
+    out -= np.outer(feed, p.i_eta_mu)
+    out -= np.outer(nu * m.m_t, p.eta2_mu)
+    return out
 
 
 def _rhs_linear(field: SpectralField, w: InteractionKernel) -> np.ndarray:
