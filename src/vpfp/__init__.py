@@ -47,7 +47,6 @@ from .io_config import (
     checkpoint_save,
     config_hash,
     parse_config,
-    read_csv,
     read_manifest,
     write_csv,
     write_manifest,
@@ -71,7 +70,7 @@ __all__ = [
     "InitialData", "Mode", "compute_moments", "conserved_quantities",
     "init_state", "run_simulation", "step",
     "RunConfig", "canonical_text", "checkpoint_load", "checkpoint_save",
-    "config_hash", "parse_config", "read_csv", "read_manifest",
+    "config_hash", "parse_config", "read_manifest",
     "write_csv", "write_manifest",
     "EXPERIMENT_KINDS", "ExperimentSpec", "rerun_from_manifest",
     "run_experiment",

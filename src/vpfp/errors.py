@@ -2,7 +2,7 @@
 
 Exit-code mapping used by the CLI: invariant-type failures (bad configs,
 violated state invariants, guard trips) exit with code 2, numeric failures
-(quadrature non-convergence, overflow) with code 3.
+(overflow, an undecayed kernel, disagreeing routes) with code 3.
 """
 
 
@@ -27,8 +27,9 @@ class InvariantError(VpfpError):
 class StateEscapeError(InvariantError):
     """The solution left the perturbative regime guarded by the moment closure.
 
-    Raised when the spatial density or temperature reconstruction drops below
-    the positivity floor, or the closure series stops converging.
+    Raised when the spatial density profile reaches the sup bound past which
+    the closure matrix 1 + rho is no longer well conditioned, or the
+    temperature reconstruction drops below the positivity floor.
     """
 
 

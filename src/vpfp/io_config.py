@@ -304,28 +304,6 @@ def write_csv(rows, schema, path) -> None:
     _atomic_write_bytes(path, ("\n".join(out) + "\n").encode("utf-8"))
 
 
-def read_csv(path):
-    """Read a write_csv file back as (schema, rows of floats/ints/strings)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise ConfigError(f"{path}: empty CSV")
-    schema = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        cells = []
-        for cell in line.split(","):
-            try:
-                cells.append(int(cell, 10))
-            except ValueError:
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    cells.append(cell)
-        rows.append(cells)
-    return schema, rows
-
-
 def write_manifest(config: RunConfig, results: dict, path) -> None:
     """Write the run manifest: config echo, its hash, and result summary.
 

@@ -12,9 +12,10 @@ bracket and a slow exponential to form the working weight
     A(t, k, eta) = exp(c nu^(1/3) t) <k, eta>^s M(t, k, eta)      (k != 0)
     A(t, 0, eta) = <eta>^s,
 
-with <k, eta> = (1 + k^2 + eta^2)^(1/2).  The norms layered on top are the
-A-weighted velocity-moment ladders (norm_f, norm_d) and an unweighted
-Sobolev-moment norm (norm_sobolev_moment).
+with <k, eta> = (1 + k^2 + eta^2)^(1/2).  The characteristic is linear in
+u = exp(nu s), so -log M integrates in closed form (m_exponent_grid).  The
+norms layered on top are the A-weighted velocity-moment ladders (norm_f,
+norm_d) and an unweighted Sobolev-moment norm (norm_sobolev_moment).
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ import numpy as np
 from .errors import DomainError
 from .grids import PhaseGrid, SpectralField
 from .reports import BoundReport
-from .semigroup import _characteristic, _exponent_quadrature
-
-# Quadrature tolerance for the multiplier exponent.
-_M_RTOL = 1e-10
+from .semigroup import _characteristic, _phi1
 
 # Norms require this much decay at the lattice edge for the spectral
 # derivatives to be trustworthy.
@@ -63,47 +61,53 @@ class NormSpec:
             raise DomainError("ladder depth m must be a nonnegative integer")
 
 
-def _m_rate(s, k, eta, nu):
-    w = _characteristic(s, k, eta, nu)
-    with np.errstate(over="ignore"):
-        y = nu ** (2.0 / 3.0) * w * w
-    y = np.where(np.isfinite(y), y, np.inf)
-    return nu ** (1.0 / 3.0) / (1.0 + y)
+def m_exponent_grid(t, k, eta, nu) -> np.ndarray:
+    """-log M over broadcastable arrays of (t, k, eta, nu), in closed form.
 
+    With r = nu^(1/3), q = r k / nu, x = nu t, sigma = k t (1 - exp(-x)) / x,
+    v0 = r eta and vt = r bar_eta(t; k, eta),
 
-def _check_m_time(t, tau, nu):
+        -log M = r / (1 + q^2) [-L / (2 nu) - (q / nu) (arctan vt - arctan v0)],
+        L = log((exp(-2x) + r^2 (eta - sigma)^2) / (1 + v0^2)).
+
+    L is log1p(z), z = (expm1(-2x) - r^2 sigma (2 eta - sigma)) / (1 + v0^2),
+    while the ratio stays above 1/2, and the plain log below.  For x < 1 the
+    arctan difference is taken as one arctan2 of vt - v0 = r t phi(x)
+    (nu eta - k), phi(x) = expm1(x)/x, so neither cancels at small t.
+    """
+    t, k, eta, nu = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (t, k, eta, nu)))
+    if np.any(nu <= 0.0):
+        raise DomainError("collision frequency must be positive")
     if np.any(t < 0.0):
         raise DomainError("time must be nonnegative")
+    r = nu ** (1.0 / 3.0)
+    q = r * k / nu
+    x = nu * t
+    sigma = k * t * _phi1(x)
+    v0 = r * eta
+    vt = r * _characteristic(t, k, eta, nu)
+    z = ((np.expm1(-2.0 * x) - r * r * sigma * (2.0 * eta - sigma))
+         / (1.0 + v0 * v0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.where(
+            z > -0.5, np.log1p(z),
+            np.logaddexp(-2.0 * x, 2.0 * np.log(r * np.abs(eta - sigma)))
+            - np.log1p(v0 * v0))
+        d_v = r * t * _phi1(-x) * (nu * eta - k)
+        d_arctan = np.where(x < 1.0, np.arctan2(d_v, 1.0 + vt * v0),
+                            np.arctan(vt) - np.arctan(v0))
+    return r / (1.0 + q * q) * (-log_ratio / (2.0 * nu) - q / nu * d_arctan)
 
 
-def m_exponent_grid(t, k, eta, nu, rtol: float = _M_RTOL) -> np.ndarray:
-    """-log M over broadcastable arrays of (t, k, eta, nu)."""
-    return _exponent_quadrature(_m_rate, 0.0, t, k, eta, nu, rtol,
-                                _check_m_time)
-
-
-def m_eval_grid(t, k, eta, nu, rtol: float = _M_RTOL) -> np.ndarray:
+def m_eval_grid(t, k, eta, nu) -> np.ndarray:
     """Multiplier values over broadcastable arrays; each in (0, 1]."""
-    return np.exp(-m_exponent_grid(t, k, eta, nu, rtol=rtol))
+    return np.exp(-m_exponent_grid(t, k, eta, nu))
 
 
 def m_eval(t: float, k: int, eta: float, nu: float) -> float:
     """Multiplier at a single phase point."""
     return float(m_eval_grid(float(t), float(k), float(eta), nu))
-
-
-def m_crossing_estimate(t: float, k: int, eta: float, nu: float) -> float:
-    """Collisionless closed form of the multiplier for k != 0.
-
-    Freezing the characteristic drift at slope -k gives
-    exp(-(arctan(nu^(1/3) eta) - arctan(nu^(1/3) (eta - k t))) / k),
-    accurate to O(nu t) against m_eval.
-    """
-    if k == 0:
-        raise DomainError("crossing estimate needs a moving characteristic, k != 0")
-    r = nu ** (1.0 / 3.0)
-    expo = (math.atan(r * eta) - math.atan(r * (eta - k * t))) / k
-    return math.exp(-expo)
 
 
 def bracket(k, eta):

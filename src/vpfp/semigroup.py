@@ -17,16 +17,17 @@ trace S collapses to a function S_ct(dt, k) of the elapsed time only, for
 which a closed form of the exponent exists (s_density_exponent).
 
 Weights are returned as exponents, which stay comparable where the weight
-underflows.  _characteristic is the one place bar_eta is written, and
-_exponent_quadrature the one quadrature front end (see _quad) of S and of
-the ghost multiplier; closed-form differences cancel for nu t << 1.
+underflows.  _characteristic is the one place bar_eta is written.  In
+u = exp(nu s) the characteristic is linear, bar_eta = (eta - k/nu) u + k/nu,
+so S and the ghost multiplier (see multiplier) integrate in closed form;
+for nu (t - tau) < 1 the S exponent is regrouped so that it keeps its
+digits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._quad import adaptive_simpson_batch
 from .errors import DomainError, RangeError
 from .reports import BoundReport
 
@@ -36,13 +37,10 @@ _EXP_ARG_MAX = 700.0
 # Taylor branch threshold for (1 - exp(-x))/x style ratios.
 _SERIES_CUT = 1e-4
 
-# Relative tolerance of the exponent quadrature.  One order below the
-# 1e-12 identity tolerances certified downstream.
-_EXPONENT_RTOL = 1e-13
-
 # s_density_exponent switches from the closed form to a series in x = nu*t
-# below this cut; the closed form loses ~8 digits near x = 1e-4 while the
-# series truncation error at the cut is ~1e-14 relative.
+# below this cut (s_general_exponent likewise below |x| < cut); the closed
+# form loses ~8 digits near x = 1e-4 while the series truncation error at
+# the cut is ~1e-14 relative.
 _DENSITY_SERIES_CUT = 0.1
 
 # Coefficients of g(t) = t + 2 expm1(-x)/nu - expm1(-2x)/(2 nu), x = nu t,
@@ -77,7 +75,8 @@ def _characteristic(s, k, eta, nu):
     """bar_eta(s; k, eta) = exp(nu s) (eta - k s phi1(nu s)), broadcasting.
 
     The exponent is clamped at _EXP_ARG_MAX, which only the multiplier
-    integrand reaches past; every other caller keeps nu s below it."""
+    exponent reaches past, where its arctan has saturated; every other
+    caller keeps nu s below it."""
     x = nu * s
     with np.errstate(over="ignore"):
         return np.exp(np.minimum(x, _EXP_ARG_MAX)) * (eta - k * s * _phi1(x))
@@ -139,29 +138,6 @@ def bar_eta(tau, k, eta, nu):
     return out
 
 
-def _exponent_quadrature(g, tau, t, k, eta, nu, rtol, check):
-    """int_tau^t g(s, k, eta, nu) ds over broadcastable arrays, for a
-    pointwise integrand g.  check(t, tau, nu) validates the raveled times
-    after the shared collision-frequency check."""
-    arrays = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (t, tau, k, eta, nu)))
-    t_a, tau_a, k_a, eta_a, nu_a = (a.ravel() for a in arrays)
-    if np.any(nu_a <= 0.0):
-        raise DomainError("collision frequency must be positive")
-    check(t_a, tau_a, nu_a)
-
-    def f(idx: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return g(s, k_a[idx, None], eta_a[idx, None], nu_a[idx, None])
-
-    return adaptive_simpson_batch(f, tau_a, t_a, rtol=rtol).reshape(
-        arrays[0].shape)
-
-
-def _s_rate(s, k, eta, nu):
-    w = _characteristic(s, k, eta, nu)
-    return w * w
-
-
 def _check_s_times(t, tau, nu):
     if np.any(tau < 0.0) or np.any(t < tau):
         raise DomainError("times must satisfy t >= tau >= 0")
@@ -169,23 +145,57 @@ def _check_s_times(t, tau, nu):
         raise RangeError("nu * t overflows the characteristic exponential")
 
 
-def s_general_exponent(t, tau, k, eta, nu, rtol: float = _EXPONENT_RTOL):
+def _density_series(x):
+    """sum_{n>=3} c_n x^(n-3): nu g / x^3 for |x| < _DENSITY_SERIES_CUT."""
+    poly = np.zeros_like(x, dtype=float)
+    for c in reversed(_DENSITY_SERIES):
+        poly = poly * x + c
+    return poly
+
+
+def s_general_exponent(t, tau, k, eta, nu):
     """Exponent of S(t, tau; k, eta), vectorized over broadcastable arrays.
+
+    Restarting the flow at tau, bar_eta(s; k, eta) = bar_eta(s - tau; k, e)
+    with e = bar_eta(tau; k, eta), so with T = t - tau and y = nu T
+
+        int_tau^t bar_eta^2 ds = T (a^2 phi(2y) + 2ab phi(y) + b^2),
+
+    a = e - k/nu, b = k/nu and phi(z) = expm1(z)/z.  Below y = 1 the same
+    integral is taken as e^2 T phi(2y) - e k T^2 phi(y)^2 + k^2 T^3 P(-y),
+    P(x) = nu g(x) / x^3 with g as in s_density_exponent.
 
     Args:
         t, tau: times with t >= tau >= 0.
         k: wavenumbers (any integers, including 0).
         eta: frequencies.
         nu: collision frequencies, > 0.
-        rtol: quadrature tolerance on the exponent.
 
     Returns:
         ndarray of exponents, each <= 0.
     """
-    integral = _exponent_quadrature(_s_rate, tau, t, k, eta, nu, rtol,
-                                    _check_s_times)
-    # Quadrature noise can leave a tiny negative integral at exact zeros.
-    return -np.asarray(nu, dtype=float) * np.maximum(integral, 0.0)
+    t, tau, k, eta, nu = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (t, tau, k, eta, nu)))
+    if np.any(nu <= 0.0):
+        raise DomainError("collision frequency must be positive")
+    _check_s_times(t, tau, nu)
+    e = _characteristic(tau, k, eta, nu)
+    span = t - tau
+    y = nu * span
+    phi_y, phi_2y = _phi1(-y), _phi1(-2.0 * y)
+    b = k / nu
+    a = e - b
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # a = 0 is the fixed point bar_eta = k/nu, where phi(2y) may be inf.
+        late = span * (np.where(a == 0.0, 0.0, a * a * phi_2y)
+                       + 2.0 * a * b * phi_y + b * b)
+        p = np.where(y < _DENSITY_SERIES_CUT, _density_series(-y),
+                     (y - 2.0 * np.expm1(y) + 0.5 * np.expm1(2.0 * y)) / y ** 3)
+        early = span * (e * e * phi_2y - e * k * span * phi_y ** 2
+                        + k * k * span ** 2 * p)
+    integral = np.where(y < 1.0, early, late)
+    # Cancellation can leave a tiny negative integral at exact zeros.
+    return -nu * np.maximum(integral, 0.0)
 
 
 def s_density_exponent(dt, k, nu):
@@ -205,10 +215,7 @@ def s_density_exponent(dt, k, nu):
     if np.any(x > _EXP_ARG_MAX):
         raise RangeError("nu * dt overflows the characteristic exponential")
     small = x < _DENSITY_SERIES_CUT
-    poly = np.zeros_like(x, dtype=float)
-    for c in reversed(_DENSITY_SERIES):
-        poly = poly * x + c
-    series = -(k_a ** 2) * nu * dt_a ** 3 * poly
+    series = -(k_a ** 2) * nu * dt_a ** 3 * _density_series(x)
     with np.errstate(invalid="ignore"):
         g = dt_a + 2.0 * np.expm1(-x) / nu - np.expm1(-2.0 * x) / (2.0 * nu)
     direct = -(k_a ** 2) / nu * g

@@ -56,7 +56,8 @@ from .errors import (
 from .grids import PhaseGrid, SpectralField
 from .linear_theory import InteractionKernel, mu_hat
 
-# Positivity floor for the reconstructed density and temperature profiles.
+# Positivity floor for the reconstructed temperature profile.  The density
+# profile clears it whenever sup|rho| < CLOSURE_SUP_BOUND <= 1 - the floor.
 POSITIVITY_FLOOR = 0.5
 
 # Sup-norm bound on the density profile; below it the closure matrix
@@ -171,9 +172,11 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
     """Hydrodynamic readouts with regime guards.
 
     Raises:
-        StateEscapeError: when sup_x |rho(x)| >= 0.5 (closure series
-            diverges) or the reconstructed density or temperature profile
-            drops to POSITIVITY_FLOOR or below.
+        StateEscapeError: when sup_x |rho(x)| >= CLOSURE_SUP_BOUND, past
+            which the closure matrix 1 + rho is no longer well conditioned
+            (below it the density 1 + rho stays above POSITIVITY_FLOOR), or
+            when the reconstructed temperature profile drops to
+            POSITIVITY_FLOOR or below.
     """
     g = field.grid
     x_modes = _step_plan(g).x_modes
@@ -187,9 +190,6 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
         raise StateEscapeError(
             f"density profile reached sup {sup_rho:.3g} >= {CLOSURE_SUP_BOUND}; "
             "the moment closure is no longer perturbative")
-    if float(np.min(1.0 + rho_x)) <= POSITIVITY_FLOOR:
-        raise StateEscapeError(
-            f"density profile dropped to the positivity floor {POSITIVITY_FLOOR}")
     closure = np.eye(g.n_k) + conv_matrix(rho)
     u = np.linalg.solve(closure, m1)
     m_t = m2 - conv_matrix(m1) @ u

@@ -1,12 +1,11 @@
-"""Batched adaptive Simpson quadrature on uniform panels.
+"""Batched adaptive Simpson quadrature on uniform panels: the test oracle.
 
-Both semigroup and multiplier exponents are integrals of smooth, non
-oscillatory integrands along characteristics.  Closed forms exist for special
-cases but cancel catastrophically in floating point, so everything funnels
-through one panel-doubling Simpson routine, reached from both weights through
-the one front end semigroup._exponent_quadrature: all batch elements share a
-panel count, the count doubles until each element's Richardson estimate clears
-the tolerance, and converged elements drop out of the active set.
+The S and M exponents are integrals of smooth, non oscillatory integrands
+along characteristics.  The library evaluates them in closed form; the tests
+integrate the same integrands with this panel-doubling Simpson routine: all
+batch elements share a panel count, the count doubles until each element's
+Richardson estimate clears the tolerance, and converged elements drop out of
+the active set.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError
+from vpfp.errors import NumericError
 
 # Cap on vectorized integrand evaluations per pass; active batches larger
 # than this are processed in chunks to bound memory.

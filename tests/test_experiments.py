@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from csv_reader import read_csv
 from vpfp import experiments, solver
 from vpfp.errors import ConfigError, DomainError, HorizonError
 from vpfp.experiments import (
@@ -34,7 +35,7 @@ from vpfp.experiments import (
     run_threshold_scan,
     surrogate_half_life,
 )
-from vpfp.io_config import (RunConfig, config_hash, parse_config, read_csv,
+from vpfp.io_config import (RunConfig, config_hash, parse_config,
                             read_manifest)
 from vpfp.semigroup import s_density_exponent
 from vpfp.solver import InitialData, Mode, init_state, run_simulation

@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csv_reader import read_csv
 from vpfp.errors import ConfigError, DomainError
 from vpfp.grids import PhaseGrid, SpectralField
 from vpfp.io_config import (_SCHEMA, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                             OutputLock, RunConfig, canonical_text,
                             checkpoint_load, checkpoint_save,
                             config_hash, format_float,
-                            parse_config, read_csv, read_manifest,
+                            parse_config, read_manifest,
                             resolve_out_dir, write_csv, write_manifest)
 
 

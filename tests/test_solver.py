@@ -443,6 +443,11 @@ class TestComputeMoments:
             compute_moments(f, coulomb(2))
         assert solves == []
 
+    def test_sup_guard_implies_density_floor(self):
+        # sup|rho| < CLOSURE_SUP_BOUND keeps 1 + rho above POSITIVITY_FLOOR,
+        # so compute_moments needs no separate density floor.
+        assert solver.CLOSURE_SUP_BOUND <= 1.0 - solver.POSITIVITY_FLOOR
+
     def test_temperature_guard(self):
         g = small_grid()
         f = SpectralField.zeros(g)
