@@ -2,9 +2,9 @@
 
 The package splits into layers: semigroup and multiplier certify the
 weighted-decay machinery of the linearized collisional flow, linear_theory
-solves the scalar density equation and scans its stability margin, solver
-integrates the full nonlinear system on a truncated Fourier lattice, and
-experiments packages the headline measurement campaigns behind the CLI.
+solves the scalar density equation, solver integrates the full nonlinear
+system on a truncated Fourier lattice, and experiments packages the headline
+measurement campaigns behind the CLI.
 """
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ from .linear_theory import (
     VolterraProblem,
     fit_decay_rate,
     free_streaming_source,
-    penrose_scan,
     volterra_solve,
 )
 from .solver import (
@@ -43,8 +42,6 @@ from .solver import (
 from .io_config import (
     RunConfig,
     canonical_text,
-    checkpoint_load,
-    checkpoint_save,
     config_hash,
     parse_config,
     read_manifest,
@@ -66,12 +63,11 @@ __all__ = [
     "bar_eta", "eta_ct", "s_density_exponent",
     "NormSpec", "norm_sobolev_moment",
     "InteractionKernel", "VolterraProblem", "fit_decay_rate",
-    "free_streaming_source", "penrose_scan", "volterra_solve",
+    "free_streaming_source", "volterra_solve",
     "InitialData", "Mode", "compute_moments", "conserved_quantities",
     "init_state", "run_simulation", "step",
-    "RunConfig", "canonical_text", "checkpoint_load", "checkpoint_save",
-    "config_hash", "parse_config", "read_manifest",
-    "write_csv", "write_manifest",
+    "RunConfig", "canonical_text", "config_hash", "parse_config",
+    "read_manifest", "write_csv", "write_manifest",
     "EXPERIMENT_KINDS", "ExperimentSpec", "rerun_from_manifest",
     "run_experiment",
     "__version__",

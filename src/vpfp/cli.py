@@ -1,8 +1,8 @@
 """Command-line front end: one subcommand per measurement campaign.
 
 Exit codes are the contract scripts rely on: 0 on success, 2 when the
-config is invalid or a run left its certified regime, 3 when a run failed
-numerically inside an otherwise valid setup.
+config is invalid, the outputs cannot be written or a run left its certified
+regime, 3 when a run failed numerically inside an otherwise valid setup.
 """
 
 import argparse
@@ -47,6 +47,10 @@ def main(argv=None) -> int:
     except VpfpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:
+        # an output path that cannot be created or written is a setup error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.experiment}: outputs written to {out_dir}")
     return 0
 

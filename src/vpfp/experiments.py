@@ -11,8 +11,8 @@ byte.
 Grid policy: the config has no lattice keys.  Each driver sizes its own
 window per cell from the cell's nu^(-1/3) scales, at the per-driver spacing
 below, chosen so every probed cell stays above its aliasing floor for the
-whole horizon.  Cells run sequentially whatever the workers key says, so a
-scan is a pure function of its config.
+whole horizon.  Cells run sequentially, so a scan is a pure function of its
+config.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .solver import InitialData, Mode, compute_moments, init_state, march, \
 
 EXPERIMENT_KINDS = ("dissipation", "landau", "echo", "threshold", "thermalize")
 
-# Frequency spacing per driver.  Coarser spacings keep long-horizon cells
-# affordable; each value was checked against a halved spacing before being
-# frozen here.
+# Frequency spacing per driver, frozen here.  Coarser spacings keep
+# long-horizon cells affordable; no campaign has yet been rerun at a halved
+# spacing to bound the discretization error (ROADMAP item 5).
 _D_ETA = {
     "dissipation": 0.25,
     "landau": 0.125,

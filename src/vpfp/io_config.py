@@ -6,28 +6,23 @@ hard errors naming the offending line.  A parsed config re-serializes to a
 canonical form (sorted keys, repr floats) whose SHA-256 is the run identity
 recorded in manifests.
 
-Writers never append: CSV and JSON go through a temp file and os.replace,
-and binary checkpoints round-trip SpectralField bit-exactly.
+Writers never append: CSV and JSON go through a temp file and os.replace.
 """
 
 import dataclasses
 import hashlib
 import json
 import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grids import PhaseGrid, SpectralField
 from .linear_theory import InteractionKernel
 from .multiplier import NormSpec
 
-CHECKPOINT_MAGIC = b"VPFPCKPT"
-CHECKPOINT_VERSION = 1
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 _KERNEL_CHOICES = ("coulomb", "screened", "custom")
 
 
@@ -56,7 +51,6 @@ class RunConfig:
     t_final: float = 0.0
     fit_t_min: float = 0.0
     fit_t_max: float = 0.0
-    workers: int = 1
 
     mode_k: int = 1
     mode_center: float = 0.0
@@ -94,10 +88,6 @@ class RunConfig:
         return InteractionKernel(label="custom", table=table)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 # key -> (kind, validator, requirement text). Kinds: int, float, str,
 # float_list, int_list. The requirement text doubles as the error message.
 _SCHEMA = {
@@ -118,7 +108,6 @@ _SCHEMA = {
     "t_final": ("float", lambda v: 0.0 <= v <= 1e7, "in [0, 1e7]"),
     "fit_t_min": ("float", lambda v: 0.0 <= v <= 1e7, "in [0, 1e7]"),
     "fit_t_max": ("float", lambda v: 0.0 <= v <= 1e7, "in [0, 1e7]"),
-    "workers": ("int", lambda v: 1 <= v <= 256, "an integer in [1, 256]"),
     "mode_k": ("int", lambda v: v != 0 and abs(v) <= 64,
                "a nonzero integer with |k| <= 64"),
     "mode_center": ("float", lambda v: abs(v) <= 1e4, "in [-1e4, 1e4]"),
@@ -348,59 +337,6 @@ def read_manifest(path) -> dict:
             f"{path}: config text hashes to {digest}, not the recorded "
             f"config_hash {doc.get('config_hash')}")
     return doc
-
-
-def checkpoint_save(field, path) -> None:
-    """Write a SpectralField snapshot, bit-exactly.
-
-    Layout: magic, u32 version, u32 header length, JSON header (grid
-    parameters and time), then the complex128 rows little-endian.
-    """
-    g = field.grid
-    header = json.dumps({
-        "k_max": g.k_max, "eta_max": g.eta_max, "n_eta": g.n_eta,
-        "dt": g.dt, "time": field.time,
-    }, sort_keys=True).encode("utf-8")
-    body = np.ascontiguousarray(field.data, dtype="<c16").tobytes()
-    payload = (CHECKPOINT_MAGIC
-               + struct.pack("<II", CHECKPOINT_VERSION, len(header))
-               + header + body)
-    _atomic_write_bytes(path, payload)
-
-
-def checkpoint_load(path) -> SpectralField:
-    """Read back a checkpoint_save snapshot; malformed files raise ConfigError."""
-    blob = Path(path).read_bytes()
-    pre = len(CHECKPOINT_MAGIC) + 8
-    if len(blob) < pre or blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"{path}: not a checkpoint file")
-    version, hlen = struct.unpack_from("<II", blob, len(CHECKPOINT_MAGIC))
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: checkpoint version {version} unsupported "
-                          f"(expected {CHECKPOINT_VERSION})")
-    if len(blob) < pre + hlen:
-        raise ConfigError(f"{path}: short read in checkpoint header")
-    # a header of the wrong JSON type, or holding values of the wrong
-    # type, fails with TypeError; a float k_max or n_eta would pass
-    # PhaseGrid and only fail in the reshape below
-    try:
-        header = json.loads(blob[pre:pre + hlen].decode("utf-8"))
-        if not (_is_int(header["k_max"]) and _is_int(header["n_eta"])):
-            raise ValueError("k_max and n_eta must be integers")
-        grid = PhaseGrid(k_max=header["k_max"], eta_max=header["eta_max"],
-                         n_eta=header["n_eta"], dt=header["dt"])
-        time = float(header["time"])
-        if not np.isfinite(time):
-            raise ValueError(f"time must be finite, got {time!r}")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: bad checkpoint header: {exc}") from None
-    want = grid.n_k * grid.n_eta * 16
-    body = blob[pre + hlen:]
-    if len(body) != want:
-        raise ConfigError(f"{path}: short read in checkpoint body "
-                          f"({len(body)} of {want} bytes)")
-    data = np.frombuffer(body, dtype="<c16").reshape(grid.n_k, grid.n_eta)
-    return SpectralField(grid=grid, data=data.astype(np.complex128), time=time)
 
 
 def resolve_out_dir(arg_out) -> Path:

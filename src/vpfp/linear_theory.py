@@ -1,4 +1,4 @@
-"""Scalar density equation of the linearized dynamics and its stability scan.
+"""Scalar density equation of the linearized dynamics.
 
 Eliminating the distribution from the linearized system leaves a Volterra
 equation for the premultiplied density Phi(t) = exp(delta nu^(1/3) t) rho(t, k):
@@ -13,15 +13,8 @@ and the physical memory kernel is -kernel_K0(t - tau):
 
 with S_ct the critical-trace weight (semigroup.s_density_exponent).
 
-kernel_K0 is reported with the positive sign; the solver and the stability
-scan insert the physical minus sign themselves.  The stability margin
-
-    kappa = min over a left-half-plane window of |1 + K0_hat(z)|,
-    K0_hat(z) = int_0^inf exp(z t) (-kernel_K0(t)) ... reported as
-    min |1 - L[-K0](z)| with the growing weight exp(z t), Re z <= 0,
-
-is the distance of the dispersion function from 0: kappa > 0 certifies that
-the memory term cannot sustain a neutral or growing oscillation.
+kernel_K0 is reported with the positive sign; volterra_solve inserts the
+physical minus sign itself.
 """
 
 from __future__ import annotations
@@ -205,104 +198,6 @@ def free_streaming_source(h_in_hat: Callable, t, k: int, nu: float):
     if np.ndim(t) == 0:
         return complex(out[0])
     return out
-
-
-@dataclass
-class PenroseResult:
-    kappa: float
-    z_argmin: complex
-    k: int
-    nu: float
-    truncation_time: float
-    edge_max: float
-    kernel_l1: float
-    details: dict = field(default_factory=dict)
-
-
-def penrose_scan(
-    k: int,
-    nu: float,
-    delta: float,
-    w: InteractionKernel,
-    re_range: tuple[float, float] = (-2.0, 0.0),
-    im_range: tuple[float, float] = (-20.0, 20.0),
-    n_re: int = 401,
-    n_im: int = 801,
-    dt: float = 0.015,
-) -> PenroseResult:
-    """Distance of the dispersion function from zero on a spectral window.
-
-    Evaluates D(z) = 1 - int_0^T exp(z t) (-kernel_K0(t)) dt on the grid
-    Re z in re_range (<= 0), Im z in im_range, with the kernel truncated at
-    the first time T where it falls below 1e-14 in magnitude.  The growing
-    weight exp(z t)|_{Re z < 0} damps the tail, so the transform converges
-    on the whole window.
-
-    Returns:
-        PenroseResult with kappa = min |D|, its argmin, the maximum of |D - 1|
-        on the far-field edges |Im z| = max (decay cross-check), and the
-        kernel truncation data.
-
-    Raises:
-        NumericError: if the kernel has not decayed below threshold by
-            t = 64 nu^(-1/3) + 100.
-    """
-    if re_range[0] > re_range[1] or re_range[1] > 0.0:
-        raise DomainError("the scan window must sit in Re z <= 0")
-    # March until the kernel magnitude stays below threshold.
-    t_cap = 64.0 * nu ** (-1.0 / 3.0) + 100.0
-    block = max(int(round(8.0 / dt)), 16)
-    kern_parts = []
-    t0 = 0.0
-    truncation = None
-    while t0 < t_cap:
-        tt = t0 + dt * np.arange(block + 1)
-        kk = kernel_K0(tt, k, nu, delta, w)
-        if t0 > 0:
-            # First node duplicates the previous block's last node.
-            tt, kk = tt[1:], kk[1:]
-        kern_parts.append((tt, kk))
-        if t0 > 0 and np.all(kk[-block // 2:] < 1e-14):
-            truncation = tt[-1]
-            break
-        t0 = tt[-1]
-    if truncation is None:
-        raise NumericError(
-            f"kernel tail had not decayed below 1e-14 by t = {t_cap:.3g}; "
-            "no trustworthy transform truncation exists")
-    t_nodes = np.concatenate([p[0] for p in kern_parts])
-    kern = np.concatenate([p[1] for p in kern_parts])
-    if kern.size % 2 == 0:
-        t_nodes = t_nodes[:-1]
-        kern = kern[:-1]
-    n_nodes = kern.size
-    simp = np.ones(n_nodes)
-    simp[1:-1:2] = 4.0
-    simp[2:-1:2] = 2.0
-    simp *= dt / 3.0
-    weighted = simp * (-kern)
-    re_grid = np.linspace(re_range[0], re_range[1], n_re)
-    im_grid = np.linspace(im_range[0], im_range[1], n_im)
-    # exp(z t) factorizes; the transform is then a real x complex matmul.
-    e_re = np.exp(np.outer(re_grid, t_nodes))
-    e_im = np.exp(1j * np.outer(t_nodes, im_grid))
-    transform = (e_re * weighted[None, :]) @ e_im
-    disp = np.abs(1.0 - transform)
-    flat = int(np.argmin(disp))
-    i_re, i_im = np.unravel_index(flat, disp.shape)
-    kappa = float(disp[i_re, i_im])
-    edge = float(max(np.max(np.abs(transform[:, 0])),
-                     np.max(np.abs(transform[:, -1]))))
-    return PenroseResult(
-        kappa=kappa,
-        z_argmin=complex(re_grid[i_re], im_grid[i_im]),
-        k=k, nu=nu,
-        truncation_time=float(truncation),
-        edge_max=edge,
-        kernel_l1=float(np.sum(np.abs(kern)) * dt),
-        details={"n_re": n_re, "n_im": n_im, "dt": dt,
-                 "re_range": list(re_range), "im_range": list(im_range)},
-    )
 
 
 def fit_decay_rate(t, values, window: tuple[float, float]) -> FitResult:

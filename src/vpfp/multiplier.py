@@ -57,7 +57,7 @@ class NormSpec:
             raise DomainError("regularity s must be finite and nonnegative")
         if not 0.0 <= self.c < math.inf:
             raise DomainError("growth rate c must be finite and nonnegative")
-        if self.m < 0 or self.m != int(self.m):
+        if not 0 <= self.m < math.inf or self.m != int(self.m):
             raise DomainError("ladder depth m must be a nonnegative integer")
 
 

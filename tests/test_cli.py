@@ -76,6 +76,15 @@ class TestMain:
         assert code == 2
         assert "locked" in capsys.readouterr().err
 
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+        # a path under a regular file can be neither locked nor written
+        cfg = write_cfg(tmp_path)
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        code = main(["echo", "--config", cfg, "--out", str(blocker / "sub")])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_relative_out_honors_env_root(self, tmp_path, capsys,
                                           monkeypatch):
         monkeypatch.setenv("VPFP_OUT", str(tmp_path))

@@ -506,31 +506,31 @@ class TestOutputs:
         with pytest.raises(DomainError):
             rerun_from_manifest(path)
 
-    def test_rerun_refuses_version_1_manifest(self, tmp_path):
-        # version 1 manifests hash a config text with keys that no longer
-        # exist, so a rerun cannot reproduce their identity
+    @staticmethod
+    def refuses_version(tmp_path, version):
         from vpfp.io_config import write_manifest
         path = tmp_path / "manifest.json"
         write_manifest(RunConfig(), {"experiment": "echo"}, path)
         doc = json.loads(path.read_text())
-        doc["version"] = 1
+        doc["version"] = version
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError,
-                           match="manifest version 1 unsupported"):
+                           match=f"manifest version {version} unsupported"):
             rerun_from_manifest(path)
+
+    def test_rerun_refuses_version_1_manifest(self, tmp_path):
+        # version 1 manifests hash a config text with keys that no longer
+        # exist, so a rerun cannot reproduce their identity
+        self.refuses_version(tmp_path, 1)
 
     def test_rerun_refuses_version_2_manifest(self, tmp_path):
         # version 2 manifests embed the lattice keys k_max, eta_max, n_eta
         # and dt, which no longer parse
-        from vpfp.io_config import write_manifest
-        path = tmp_path / "manifest.json"
-        write_manifest(RunConfig(), {"experiment": "echo"}, path)
-        doc = json.loads(path.read_text())
-        doc["version"] = 2
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError,
-                           match="manifest version 2 unsupported"):
-            rerun_from_manifest(path)
+        self.refuses_version(tmp_path, 2)
+
+    def test_rerun_refuses_version_3_manifest(self, tmp_path):
+        # version 3 manifests embed the workers key, which no longer parses
+        self.refuses_version(tmp_path, 3)
 
     def test_in_memory_run_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

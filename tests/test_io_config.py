@@ -1,10 +1,10 @@
 """Config and IO tests: parsing errors name lines, canonical text is
-idempotent and hash-stable, writers are atomic, checkpoints are bit-exact."""
+idempotent and hash-stable, writers are atomic, every key is read."""
 
+import ast
 import json
 import os
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +12,7 @@ import pytest
 
 from csv_reader import read_csv
 from vpfp.errors import ConfigError, DomainError
-from vpfp.grids import PhaseGrid, SpectralField
-from vpfp.io_config import (_SCHEMA, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                            OutputLock, RunConfig, canonical_text,
-                            checkpoint_load, checkpoint_save,
+from vpfp.io_config import (_SCHEMA, OutputLock, RunConfig, canonical_text,
                             config_hash, format_float,
                             parse_config, read_manifest,
                             resolve_out_dir, write_csv, write_manifest)
@@ -90,11 +87,24 @@ class TestParseConfig:
     @pytest.mark.parametrize("key", [
         "eps_list", "output_stride", "norm_delta", "norm_delta1",
         "norm_sigma", "norm_p", "norm_theta", "norm_m_prime",
-        "k_max", "eta_max", "n_eta", "dt"])
+        "k_max", "eta_max", "n_eta", "dt", "workers"])
     def test_removed_key_is_unknown(self, key):
         # keys no driver read were dropped from the schema
         with pytest.raises(ConfigError, match=f"line 2: unknown key `{key}`"):
             parse_config(f"nu = 1e-3\n{key} = 1\n")
+
+
+class TestRunConfigFields:
+    def test_every_field_is_read_by_the_package(self):
+        # a key that no module reads as an attribute changes nothing; the
+        # generic getattr in canonical_text does not count as a reader
+        src = Path(__file__).resolve().parents[1] / "src" / "vpfp"
+        read = {node.attr for path in src.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)}
+        # _SCHEMA has exactly the RunConfig field names
+        assert sorted(set(_SCHEMA) - read) == []
 
 
 class TestCanonicalText:
@@ -209,73 +219,6 @@ class TestManifest:
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
             read_manifest(path)
-
-
-class TestCheckpoint:
-    def make_field(self):
-        g = PhaseGrid(k_max=3, eta_max=8.0, n_eta=64, dt=0.25)
-        f = SpectralField.zeros(g)
-        rng = np.random.default_rng(5)
-        f.data[:] = (rng.standard_normal(f.data.shape)
-                     + 1j * rng.standard_normal(f.data.shape))
-        f.time = 12.75
-        return f
-
-    def test_round_trip_bitwise(self, tmp_path):
-        f = self.make_field()
-        path = tmp_path / "state.ckpt"
-        checkpoint_save(f, path)
-        g = checkpoint_load(path)
-        assert g.grid == f.grid
-        assert g.time == f.time
-        assert np.array_equal(
-            g.data.view(np.uint64), f.data.view(np.uint64))
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "x.ckpt"
-        path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
-        with pytest.raises(ConfigError, match="not a checkpoint"):
-            checkpoint_load(path)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        f = self.make_field()
-        path = tmp_path / "state.ckpt"
-        checkpoint_save(f, path)
-        blob = bytearray(path.read_bytes())
-        blob[8] = 7  # patch the version word
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ConfigError, match="version 7"):
-            checkpoint_load(path)
-
-    def test_short_body_rejected(self, tmp_path):
-        f = self.make_field()
-        path = tmp_path / "state.ckpt"
-        checkpoint_save(f, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-16])
-        with pytest.raises(ConfigError, match="short read"):
-            checkpoint_load(path)
-
-    @pytest.mark.parametrize("header", [
-        b'{"dt": 0.25, "eta_max": 8.0, "k_max": "2", "n_eta": 64, "time": 0.0}',
-        b'{"dt": 0.25, "eta_max": 8.0, "k_max": 2.5, "n_eta": 64, "time": 0.0}',
-        b'[1, 2, 3]',
-        b'{"dt": 0.25, "eta_max": 8.0, "k_max": 3, "n_eta": 64, "time": null}',
-        # non-finite geometry and time, each with a body of the right size
-        b'{"dt": NaN, "eta_max": 8.0, "k_max": 1, "n_eta": 128, "time": 0.0}',
-        b'{"dt": Infinity, "eta_max": Infinity, "k_max": 1, "n_eta": 128, '
-        b'"time": 0.0}',
-        b'{"dt": 0.125, "eta_max": 8.0, "k_max": 1, "n_eta": 128, "time": NaN}',
-    ])
-    def test_malformed_header_is_config_error(self, tmp_path, header):
-        path = tmp_path / "x.ckpt"
-        # the body has the size k_max = 2.5 implies: 6 rows of 64, which is
-        # also 3 rows of 128
-        path.write_bytes(CHECKPOINT_MAGIC
-                         + struct.pack("<II", CHECKPOINT_VERSION, len(header))
-                         + header + bytes(6 * 64 * 16))
-        with pytest.raises(ConfigError, match="bad checkpoint header"):
-            checkpoint_load(path)
 
 
 class TestOutputPaths:

@@ -1,4 +1,4 @@
-"""Density equation, memory kernel, and stability scan against closed forms."""
+"""Density equation and memory kernel against closed forms."""
 
 import math
 
@@ -13,7 +13,6 @@ from vpfp.linear_theory import (
     free_streaming_source,
     kernel_K0,
     mu_hat,
-    penrose_scan,
     volterra_solve,
 )
 from vpfp.semigroup import eta_ct, s_density_exponent
@@ -219,34 +218,6 @@ class TestFreeStreamingSource:
     def test_rejects_zero_mode(self):
         with pytest.raises(DomainError):
             free_streaming_source(lambda k, e: 1.0, 1.0, 0, 1e-3)
-
-
-class TestPenroseScan:
-    def test_no_interaction_margin_is_one(self):
-        res = penrose_scan(1, 1e-3, 0.05, InteractionKernel.none())
-        assert res.kappa == 1.0
-
-    def test_coulomb_fundamental_mode(self):
-        res = penrose_scan(1, 1e-3, 0.05, InteractionKernel.coulomb())
-        assert res.kappa > 0.0
-        assert res.edge_max < 0.1
-        # Regression pin from the first certified run of this scan.
-        assert res.kappa == pytest.approx(0.7492, rel=2e-2)
-
-    def test_high_mode_near_free_streaming(self):
-        res = penrose_scan(8, 1e-3, 0.05, InteractionKernel.coulomb())
-        assert abs(res.kappa - 1.0) < 0.1
-
-    def test_margin_grows_with_mode(self):
-        kappas = [penrose_scan(k, 1e-3, 0.05, InteractionKernel.coulomb(),
-                               n_re=101, n_im=201).kappa
-                  for k in (1, 2, 4)]
-        assert kappas[0] < kappas[1] < kappas[2]
-
-    def test_rejects_right_half_plane(self):
-        with pytest.raises(DomainError):
-            penrose_scan(1, 1e-3, 0.05, InteractionKernel.coulomb(),
-                         re_range=(-1.0, 0.5))
 
 
 class TestFitDecayRate:

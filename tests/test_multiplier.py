@@ -127,6 +127,8 @@ class TestNormSpec:
         {"m": 1.5},
         {"s": float("nan")},
         {"c": float("inf")},
+        {"m": float("nan")},
+        {"m": float("inf")},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(DomainError):
