@@ -93,8 +93,8 @@ class ExperimentSpec:
                 f"{', '.join(EXPERIMENT_KINDS)}")
         if not self.nu_list:
             raise DomainError("empty collision-frequency list")
-        if any(nu <= 0.0 for nu in self.nu_list):
-            raise DomainError("scan frequencies must be positive")
+        if not all(0.0 < nu < math.inf for nu in self.nu_list):
+            raise DomainError("scan frequencies must be positive and finite")
 
     @classmethod
     def from_config(cls, kind: str, config: RunConfig,

@@ -16,9 +16,11 @@ Runge-Kutta sub-flows symmetrically:
     the eta = 0 column exact.  The contracted points, their intervals and
     local coordinates, the growth row and the defect row depend only on
     (grid, nu, dt) and form a cached OU plan; each substep computes only
-    the PCHIP slopes of its data.  The resampler repeats scipy's
-    PchipInterpolator operation for operation, so a substep gives the same
-    bytes as resampling with scipy.
+    the PCHIP slopes of its data, and only on the rows and columns between
+    the first and last nonzero ones, the columns widened by the
+    interpolant's reach of 3; every other point is +0.0.  The resampler
+    repeats scipy's PchipInterpolator operation for operation, so a
+    substep gives the same bytes as resampling with scipy.
   * N: the coupling terms (self-consistent force and the moment-feedback
     corrections that give the collision operator its local conservation
     laws) integrated with classical RK4, moments recomputed every stage.
@@ -28,14 +30,18 @@ Runge-Kutta sub-flows symmetrically:
     of one block only; the background and Maxwellian-profile terms are
     rank-1 products with two cached rows.  The eta rows, kernel rows and
     x-profile matrix these stages read depend only on the grid and the
-    kernel row and are cached read-only as well.
+    kernel row and are cached read-only as well.  The linear coupling
+    reads only the eta = 0 column, which its own increment leaves
+    unchanged up to the sign of a zero, so a linear substep evaluates it
+    once for all four stages.
 
 Convolutions in k are exact direct sums over the truncated band.  The
 moment closure follows the density, momentum and second-moment columns of
 the lattice through one-sided stencils at eta = 0 and solves the band
 systems (1 + rho) u = m1 and (1 + rho) T = m_t for the velocity u and
-temperature T directly, after guards that keep the state in the
-perturbative regime where 1 + rho is well conditioned.
+temperature T directly, one LAPACK zgesv call each, after guards that
+keep the state in the perturbative regime where 1 + rho is well
+conditioned.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import zgesv
 
 from .errors import (
     AliasingError,
@@ -168,6 +175,23 @@ def _eta_stencils(d: np.ndarray, g: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
+def _closure_solve(closure: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve closure @ x = b with LAPACK's zgesv, the routine
+    numpy.linalg.solve calls, without numpy's per-call overhead.
+
+    zgesv factors and solves in one call, and gives numpy's bytes at any
+    BLAS thread count.  A factorization kept for two zgetrs solves does
+    not: OpenBLAS's getrs rounds a single right-hand side differently at
+    two threads than at one, and two right-hand sides start threads that
+    cost more than the second factorization saves.
+    """
+    _, _, x, info = zgesv(closure, b)
+    if info:
+        raise StateEscapeError(f"the closure matrix 1 + rho has a zero "
+                               f"pivot (zgesv info {info})")
+    return x
+
+
 def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
     """Hydrodynamic readouts with regime guards.
 
@@ -176,7 +200,9 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
             which the closure matrix 1 + rho is no longer well conditioned
             (below it the density 1 + rho stays above POSITIVITY_FLOOR), or
             when the reconstructed temperature profile drops to
-            POSITIVITY_FLOOR or below.
+            POSITIVITY_FLOOR or below, or when zgesv meets a zero pivot in
+            1 + rho (only a non-finite density gets past the sup guard to
+            that).
     """
     g = field.grid
     x_modes = _step_plan(g).x_modes
@@ -191,9 +217,9 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
             f"density profile reached sup {sup_rho:.3g} >= {CLOSURE_SUP_BOUND}; "
             "the moment closure is no longer perturbative")
     closure = np.eye(g.n_k) + conv_matrix(rho)
-    u = np.linalg.solve(closure, m1)
+    u = _closure_solve(closure, m1)
     m_t = m2 - conv_matrix(m1) @ u
-    temp = np.linalg.solve(closure, m_t)
+    temp = _closure_solve(closure, m_t)
     temp_x = (x_modes @ temp).real
     if float(np.min(1.0 + temp_x)) <= POSITIVITY_FLOOR:
         raise StateEscapeError(
@@ -387,7 +413,7 @@ def _edge_slope(h0, h1, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _ContractedPchip:
     """Monotone cubic (Fritsch-Carlson / Fritsch-Butland PCHIP) resampling
-    of rows sampled at fixed breakpoints x onto fixed points xi.
+    of rows sampled at fixed breakpoints x onto fixed increasing points xi.
 
     Everything that depends only on x and xi is held here; a call computes
     the node slopes of the data and evaluates.  The arithmetic repeats
@@ -417,15 +443,38 @@ class _ContractedPchip:
                      (idx, s, s2, s2 * s, h, w1, w2, w1 + w2)))
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Values at xi of the PCHIP interpolants of the rows of y."""
+        """Values at xi of the PCHIP interpolants of the rows of y.
+
+        A value on interval idx reads y only at idx - 1 ... idx + 2, and
+        where those are all zero the power sum's 0.0 seed makes it +0.0.  So
+        only the rows from the first to the last one with a nonzero entry
+        are resampled (the imaginary half of a real field is all zero), and
+        only on the columns from the first to the last nonzero one, widened
+        by 3 on each side, with the plan sliced to match; every other point
+        gets +0.0.  A window end node reads only zeros, so its one-sided
+        slope is zero like its full one.
+        """
+        out = np.zeros((y.shape[0], self.idx.shape[0]))
+        rows = np.flatnonzero(y.any(axis=1))
+        if rows.size == 0:
+            return out
+        r0, r1 = rows[0], rows[-1] + 1
+        y = y[r0:r1]
+        cols = np.flatnonzero(y.any(axis=0))
         m, n = y.shape
-        n_blocks = -(-m * n // _BLOCK_VALUES)
-        if n_blocks <= 1:
-            return self._rows(y)
-        rows = -(-m // n_blocks)
-        out = np.empty((m, self.idx.shape[0]))
-        for r in range(0, m, rows):
-            out[r:r + rows] = self._rows(y[r:r + rows])
+        a, b = max(cols[0] - 3, 0), min(cols[-1] + 4, n)
+        # the points on intervals a ... b - 2
+        p0, p1 = np.searchsorted(self.idx, (a, b - 1))
+        window = _ContractedPchip(
+            self.idx[p0:p1] - a, self.s[p0:p1], self.s2[p0:p1],
+            self.s3[p0:p1], self.h[a:b - 1], self.w1[a:b - 2],
+            self.w2[a:b - 2], self.w12[a:b - 2])
+        y = y[:, a:b]
+        part = out[r0:r1, p0:p1]
+        n_blocks = -(-m * (b - a) // _BLOCK_VALUES)
+        block = -(-m // n_blocks)
+        for r in range(0, m, block):
+            part[r:r + block] = window._rows(y[r:r + block])
         return out
 
     def _rows(self, y: np.ndarray) -> np.ndarray:
@@ -492,10 +541,10 @@ def ou_step(field: SpectralField, nu: float, dt: float) -> None:
     bit-identical to evaluating scipy's PchipInterpolator(eta, row, axis=1)
     at the contracted points.
     """
-    if dt == 0.0 or nu == 0.0:
-        return
     if dt < 0.0:
         raise DomainError("time step must be nonnegative")
+    if dt == 0.0 or nu == 0.0:
+        return
     g = field.grid
     plan = _ou_plan(g, nu, dt)
     p = plan.resample(np.concatenate((field.data.real, field.data.imag)))
@@ -541,14 +590,25 @@ def _rhs_linear(field: SpectralField, w: InteractionKernel) -> np.ndarray:
 
 def _rk4_substep(field: SpectralField, nu: float, w: InteractionKernel,
                  mode: str, dt: float) -> None:
+    """Classical RK4 on the coupling terms.
+
+    The linear RHS reads only the eta = 0 column, where i eta mu is zero, so
+    the four stages see that column unchanged and one evaluation serves all
+    of them; the stage sum keeps its order, so the bytes are RK4's.  The one
+    exception is a row whose eta = 0 entry has real part -0.0 and imaginary
+    part <= -0.0: a stage may see +0.0 there, and some zeros of the result
+    then differ from RK4's in sign, never in value.
+    """
     if mode == "free":
         return
     y = field.data
+    if mode == "linear":
+        k1 = _rhs_linear(field, w)
+        field.data = y + dt / 6.0 * (k1 + 2.0 * k1 + 2.0 * k1 + k1)
+        return
 
     def f_of(data: np.ndarray) -> np.ndarray:
         probe = SpectralField(grid=field.grid, data=data, time=field.time)
-        if mode == "linear":
-            return _rhs_linear(probe, w)
         return _rhs_full(probe, compute_moments(probe, w), nu)
 
     k1 = f_of(y)
@@ -577,6 +637,9 @@ def step(field: SpectralField, nu: float, w: InteractionKernel,
     """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
+    if not 0.0 <= nu < math.inf:
+        raise DomainError(f"collision frequency must be finite and "
+                          f"nonnegative, got nu = {nu!r}")
     dt = field.grid.dt
     new = field.copy()
     ou_step(new, nu, 0.5 * dt)

@@ -117,6 +117,12 @@ class TestExperimentSpec:
             ExperimentSpec(kind="echo", config=RunConfig(),
                            nu_list=(1e-3, -1e-4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_frequencies(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ExperimentSpec(kind="echo", config=RunConfig(),
+                           nu_list=(1e-3, bad))
+
 
 class TestSurrogateHalfLife:
     def test_solves_the_defining_equation(self):

@@ -201,6 +201,12 @@ class TestOuStep:
         with pytest.raises(DomainError):
             ou_step(f, nu=0.1, dt=-0.1)
 
+    def test_negative_dt_rejected_before_nu_zero_shortcut(self):
+        g = small_grid()
+        f = SpectralField.zeros(g)
+        with pytest.raises(DomainError):
+            ou_step(f, nu=0.0, dt=-0.1)
+
     def test_closed_form_matches_method_of_lines(self):
         # certifies the propagator formula itself on a mid-size grid
         nu, dt, c = 0.1, 0.1, 2.0
@@ -275,6 +281,99 @@ class TestOuStep:
             want = PchipInterpolator(g.eta, y, axis=1)(xi)
         got = _ou_plan(g, nu, dt).resample(y)
         assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def sparse_rows(case, n_rows, n_eta):
+        """Rows that are zero outside a few columns, or all zero, to test
+        that the resampler's window over the nonzero rows and columns is
+        exact."""
+        rng = np.random.default_rng(n_eta)
+        y = np.zeros((n_rows, n_eta))
+        j = n_eta // 2
+
+        def bump(width):
+            return rng.standard_normal(width) * np.exp(
+                -np.linspace(-3.0, 3.0, width) ** 2)
+
+        if case == "zero_stretches":
+            for r, lo in enumerate(range(n_eta // 9, n_eta - 40,
+                                         n_eta // 9)):
+                y[r % n_rows, lo:lo + 30] = bump(30)
+        elif case == "touches_first_column":
+            y[0, :12] = bump(12)
+            y[-1, 0] = -1e-3
+        elif case == "touches_last_column":
+            y[1, -12:] = bump(12)
+            y[-2, -1] = 2.5
+        elif case == "narrow_support":
+            # one, two and three nonzero columns, in the middle and one
+            # column in from either edge
+            y[0, j] = 1.0
+            y[1, j + 5: j + 7] = [-0.5, 2.0]
+            y[2, j - 9: j - 6] = [1.0, -1.0, 1.0]
+            y[3, 1] = 0.75
+            y[-1, n_eta - 2] = -0.25
+        elif case == "negative_zero_stretches":
+            y[:, :] = -0.0
+            y[0, j: j + 40] = bump(40)
+            y[1, j + 10: j + 20] = -0.0
+            y[2, j - 3] = 1.0
+        elif case == "subnormal_tails":
+            y[0, j - 20: j + 20] = bump(40)
+            y[0, j - 30: j - 20] = 5e-324
+            y[1, j + 20: j + 35] = -1e-310
+            y[2, j - 2] = 5e-324
+        elif case == "real_field":
+            # real and imaginary parts stacked, the imaginary half zero
+            y[: n_rows // 2] = TestOuStep.rough_rows(rng, n_rows // 2, n_eta)
+        elif case == "inner_rows":
+            y[1, j - 50: j + 50] = bump(100)
+            y[-2, j + 60: j + 90] = bump(30)
+        return y
+
+    SPARSE_CASES = ["all_zero", "zero_stretches", "touches_first_column",
+                    "touches_last_column", "narrow_support",
+                    "negative_zero_stretches", "subnormal_tails",
+                    "real_field", "inner_rows"]
+
+    @pytest.mark.parametrize("case", SPARSE_CASES)
+    @pytest.mark.parametrize("nu_dt", [1e-17, 1e-10, 1e-6, 1e-3, 0.3])
+    def test_window_matches_scipy_pchip_bit_for_bit(self, case, nu_dt):
+        nu, dt = 1e-2, nu_dt / 1e-2
+        for k_max, eta_max, n_eta in self.LATTICES:
+            g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
+                          dt=2.0 * eta_max / n_eta)
+            y = self.sparse_rows(case, 2 * g.n_k, n_eta)
+            xi = math.exp(-nu * dt) * g.eta
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                want = PchipInterpolator(g.eta, y, axis=1)(xi)
+            got = _ou_plan(g, nu, dt).resample(y)
+            assert got.tobytes() == want.tobytes(), (k_max, n_eta)
+
+    def test_window_matches_scipy_pchip_on_random_sparse_rows(self):
+        # seeded row sets with up to three nonzero stretches each, of
+        # random place, width, sign, -0.0 and subnormal entries
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            k_max, eta_max, n_eta = self.LATTICES[trial % len(self.LATTICES)]
+            g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
+                          dt=2.0 * eta_max / n_eta)
+            nu_dt = (1e-17, 1e-10, 1e-6, 1e-3, 0.3)[trial % 5]
+            y = np.zeros((2 * g.n_k, n_eta))
+            for _ in range(int(rng.integers(1, 4))):
+                r = int(rng.integers(0, y.shape[0]))
+                lo = int(rng.integers(0, n_eta))
+                vals = y[r, lo:lo + int(rng.integers(1, 60))]
+                vals[:] = (rng.choice([1.0, -1.0, -0.0, 1e-310, -5e-324],
+                                      vals.size)
+                           * rng.uniform(0.5, 2.0, vals.size))
+            xi = math.exp(-nu_dt) * g.eta
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                want = PchipInterpolator(g.eta, y, axis=1)(xi)
+            got = _ou_plan(g, 1.0, nu_dt).resample(y)
+            assert got.tobytes() == want.tobytes(), trial
 
     @pytest.mark.parametrize("k_max,eta_max,n_eta", LATTICES[:4])
     def test_step_matches_per_call_scipy_reference(self, k_max, eta_max, n_eta):
@@ -437,11 +536,38 @@ class TestComputeMoments:
         f.data[g.k_index(1)] = 0.4 * mu
         f.data[g.k_index(-1)] = 0.4 * mu
         solves = []
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda *a: solves.append(a) or a[1])
+        monkeypatch.setattr(solver, "zgesv", lambda *a: solves.append(a))
         with pytest.raises(StateEscapeError):
             compute_moments(f, coulomb(2))
         assert solves == []
+
+    def test_zero_pivot_raises(self, monkeypatch):
+        # only a non-finite density gets past the sup guard to a zero
+        # pivot, so zgesv's report of one is faked
+        g = small_grid()
+        monkeypatch.setattr(solver, "zgesv",
+                            lambda a, b: (a, np.arange(1, g.n_k + 1), b, 2))
+        with pytest.raises(StateEscapeError, match="zero pivot"):
+            compute_moments(SpectralField.zeros(g), coulomb(2))
+
+    @pytest.mark.parametrize("k_max,eta_max,n_eta", [
+        (1, 153.25, 2452), (2, 146.0, 584), (4, 142.0, 1136),
+        (16, 128.0, 2048)])
+    def test_closure_solves_give_numpy_solve_bytes(self, k_max, eta_max,
+                                                   n_eta):
+        # zgesv is the routine numpy.linalg.solve calls
+        g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
+                      dt=2.0 * eta_max / n_eta)
+        f = TestStepPlan.seeded_field(g, n_eta)
+        w = coulomb(k_max)
+        f.data *= 0.2 / compute_moments(f, w).sup_rho
+        m = compute_moments(f, w)
+        closure = np.eye(g.n_k) + conv_matrix(m.rho)
+        u = np.linalg.solve(closure, m.m1)
+        m_t = m.m2 - conv_matrix(m.m1) @ u
+        assert m.u.tobytes() == u.tobytes()
+        assert m.m_t.tobytes() == m_t.tobytes()
+        assert m.T.tobytes() == np.linalg.solve(closure, m_t).tobytes()
 
     def test_sup_guard_implies_density_floor(self):
         # sup|rho| < CLOSURE_SUP_BOUND keeps 1 + rho above POSITIVITY_FLOOR,
@@ -740,6 +866,73 @@ class TestStepPlan:
         assert not np.array_equal(*e_rows)
 
 
+def ref_rk4_linear_substep(field, w, dt):
+    """Four-stage classical RK4 on the linear coupling, each stage
+    evaluated on its own probe state."""
+    y = field.data
+
+    def f_of(data):
+        return _rhs_linear(SpectralField(grid=field.grid, data=data), w)
+
+    k1 = f_of(y)
+    k2 = f_of(y + 0.5 * dt * k1)
+    k3 = f_of(y + 0.5 * dt * k2)
+    k4 = f_of(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestLinearSubstep:
+    @staticmethod
+    def landau_field():
+        """A seeded state on the landau lattice for nu = 1e-5, with signed
+        zeros at eta = 0 and in the tails, where the Maxwellian row and so
+        the RHS underflow to zero."""
+        g = PhaseGrid(k_max=1, eta_max=153.25, n_eta=2452, dt=0.125)
+        f = TestStepPlan.seeded_field(g, 17)
+        f.data[:, :300] = 0.0
+        f.data[:, -300:] = complex(-0.0, -0.0)
+        f.data[:, 400:420] = complex(-0.0, 0.0)
+        f.data[:, g.i_zero] = [complex(0.2, -0.0), complex(0.0, -0.0),
+                               complex(-0.0, 0.3)]
+        return f
+
+    def test_matches_four_stage_rk4_bytes(self):
+        f = self.landau_field()
+        w = coulomb(1)
+        want = ref_rk4_linear_substep(f, w, 0.0625)
+        _rk4_substep(f, 1e-5, w, "linear", 0.0625)
+        assert f.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entry", [complex(-0.0, -0.0),
+                                       complex(-0.0, -1e-3)])
+    def test_negative_zero_real_part_changes_only_zero_signs(self, entry):
+        # the one case where the stages can see +0.0 in place of -0.0
+        f = self.landau_field()
+        w = coulomb(1)
+        for row in range(3):
+            f.data[row, f.grid.i_zero] = entry
+        want = ref_rk4_linear_substep(f, w, 0.0625)
+        _rk4_substep(f, 1e-5, w, "linear", 0.0625)
+        assert np.array_equal(f.data, want)
+
+    def test_one_rhs_evaluation_per_substep(self, monkeypatch):
+        f = self.landau_field()
+        w = coulomb(1)
+        calls = []
+
+        def counted(field, kernel):
+            calls.append(field.time)
+            return _rhs_linear(field, kernel)
+
+        monkeypatch.setattr(solver, "_rhs_linear", counted)
+        _rk4_substep(f, 1e-5, w, "linear", 0.0625)
+        assert len(calls) == 1
+        f, _ = init_state(InitialData(eps=1e-3, modes=(Mode(1, 1.0),)),
+                          f.grid, w)
+        step(f, 1e-5, w, "linear")
+        assert len(calls) == 1 + 2
+
+
 class TestStep:
     def test_zero_state_fixed_point(self):
         g = small_grid(k_max=2, eta_max=12.0, n_eta=96)
@@ -793,6 +986,23 @@ class TestStep:
         f = SpectralField.zeros(g)
         with pytest.raises(DomainError):
             step(f, 0.1, coulomb(2), "sideways")
+
+    @pytest.mark.parametrize("nu", [-1e-3, -math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize("mode", ["full", "linear", "free"])
+    def test_bad_collision_frequency_rejected(self, monkeypatch, nu, mode):
+        g = small_grid()
+        w = coulomb(2)
+        f, _ = init_state(InitialData(eps=1e-3, modes=(Mode(1, 1.0),)), g, w)
+        data, time = f.data.tobytes(), f.time
+        substeps = []
+        for name in ("ou_step", "_rk4_substep", "transport_step"):
+            monkeypatch.setattr(solver, name,
+                                lambda *a, name=name: substeps.append(name))
+        with pytest.raises(DomainError, match="collision frequency"):
+            step(f, nu, w, mode)
+        assert substeps == []
+        assert f.data.tobytes() == data
+        assert f.time == time
 
     def test_failing_step_leaves_field_unchanged(self):
         # a bump centred off zero reaches the edge of this window after 32
