@@ -23,8 +23,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import stats
-from scipy.optimize import brentq
 
 from . import __version__
 from .errors import AliasingError, ConfigError, DomainError, HorizonError, \
@@ -126,6 +124,10 @@ def fit_power_law(x, y) -> PowerFit:
         raise DomainError("power-law fit needs at least three samples")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise DomainError("power-law fit needs positive data")
+    # imported here, not with the package: only the fits need scipy.stats,
+    # and importing it costs most of a second
+    from scipy import stats
+
     lx = np.log(x)
     ly = np.log(y)
     res = stats.linregress(lx, ly)
@@ -153,6 +155,8 @@ class PlaneFit:
 
 
 def fit_power_plane(values, nu, k) -> PlaneFit:
+    from scipy import stats
+
     v = np.log(np.asarray(values, dtype=float))
     design = np.column_stack([
         np.ones(v.size),
@@ -181,6 +185,81 @@ def _power_fit_dict(fit: PowerFit | None, prefix: str) -> dict:
         return {prefix + "_exponent": None, prefix + "_ci95": None}
     return {prefix + "_exponent": fit.exponent, prefix + "_ci95": fit.ci95,
             prefix + "_residual_rms": fit.residual_rms, prefix + "_n": fit.n}
+
+
+# ---------------------------------------------------------------------------
+# root finding
+
+_BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
+            rtol: float = _BRENTQ_RTOL, maxiter: int = 100) -> float:
+    """Root of f between xa and xb by Brent's method.
+
+    Repeats scipy.optimize.brentq (its C routine brentq.c) operation for
+    operation with the same defaults, so it returns scipy's bytes without
+    importing scipy.optimize, which costs about 0.6 s.
+
+    Raises:
+        ValueError: when f(xa) and f(xb) have the same sign, or f is NaN.
+        RuntimeError: when maxiter iterations do not converge.
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    def negative(v: float) -> bool:
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +314,8 @@ def surrogate_half_life(k: int, nu: float) -> float:
     # exponent decreases without bound in t, so a generous multiple of the
     # cube-root scale always brackets the crossing
     hi = 20.0 * (3.0 * _LN2 / nu) ** (1.0 / 3.0) / kk ** (2.0 / 3.0)
-    return float(brentq(lambda t: s_density_exponent(t, kk, nu) + _LN2,
-                        1e-9, hi, xtol=1e-12))
+    return _brentq(lambda t: s_density_exponent(t, kk, nu) + _LN2,
+                   1e-9, hi, xtol=1e-12)
 
 
 def _measured_half_life(k: int, nu: float, ts: float, d_eta: float,
@@ -535,8 +614,8 @@ def run_echo(spec: ExperimentSpec) -> EchoReport:
         t = res.times
         e_abs = np.abs(res.e_field[:, grid.k_index(1)])
         try:
-            t_pred = float(brentq(
-                lambda tt: eta_ct(tt, 1, nu) - eta_star, 1e-9, 6.0 * eta_star))
+            t_pred = _brentq(lambda tt: eta_ct(tt, 1, nu) - eta_star,
+                             1e-9, 6.0 * eta_star)
         except ValueError:
             t_pred = math.nan
         inner = np.arange(1, t.size - 1)

@@ -39,9 +39,9 @@ Convolutions in k are exact direct sums over the truncated band.  The
 moment closure follows the density, momentum and second-moment columns of
 the lattice through one-sided stencils at eta = 0 and solves the band
 systems (1 + rho) u = m1 and (1 + rho) T = m_t for the velocity u and
-temperature T directly, one LAPACK zgesv call each, after guards that
-keep the state in the perturbative regime where 1 + rho is well
-conditioned.
+temperature T directly, one call each of numpy's LAPACK solve kernel,
+after guards that keep the state in the perturbative regime where
+1 + rho is well conditioned.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import zgesv
+from numpy.linalg._umath_linalg import solve1
 
 from .errors import (
     AliasingError,
@@ -176,20 +176,20 @@ def _eta_stencils(d: np.ndarray, g: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _closure_solve(closure: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve closure @ x = b with LAPACK's zgesv, the routine
-    numpy.linalg.solve calls, without numpy's per-call overhead.
+    """Solve closure @ x = b with solve1, the gufunc numpy.linalg.solve
+    dispatches a single right-hand side to, without numpy's per-call
+    overhead.  numpy ships it, so the closure needs no scipy.linalg, whose
+    import costs about 0.3 s.
 
-    zgesv factors and solves in one call, and gives numpy's bytes at any
-    BLAS thread count.  A factorization kept for two zgetrs solves does
-    not: OpenBLAS's getrs rounds a single right-hand side differently at
-    two threads than at one, and two right-hand sides start threads that
-    cost more than the second factorization saves.
+    solve1 factors and solves in one LAPACK gesv call, and gives numpy's
+    bytes at any BLAS thread count.  A factorization kept for two getrs
+    solves does not: OpenBLAS's getrs rounds a single right-hand side
+    differently at two threads than at one, and two right-hand sides start
+    threads that cost more than the second factorization saves.  A
+    singular system comes back as NaN, which the temperature guard in
+    compute_moments rejects.
     """
-    _, _, x, info = zgesv(closure, b)
-    if info:
-        raise StateEscapeError(f"the closure matrix 1 + rho has a zero "
-                               f"pivot (zgesv info {info})")
-    return x
+    return solve1(closure, b, signature="DD->D")
 
 
 def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
@@ -198,11 +198,10 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
     Raises:
         StateEscapeError: when sup_x |rho(x)| >= CLOSURE_SUP_BOUND, past
             which the closure matrix 1 + rho is no longer well conditioned
-            (below it the density 1 + rho stays above POSITIVITY_FLOOR), or
-            when the reconstructed temperature profile drops to
-            POSITIVITY_FLOOR or below, or when zgesv meets a zero pivot in
-            1 + rho (only a non-finite density gets past the sup guard to
-            that).
+            (below it the density 1 + rho stays above POSITIVITY_FLOOR),
+            when the density is not finite, or when the reconstructed
+            temperature profile is not above POSITIVITY_FLOOR (a NaN
+            temperature, as a singular closure gives, included).
     """
     g = field.grid
     x_modes = _step_plan(g).x_modes
@@ -212,18 +211,20 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
     m2 = -d2
     rho_x = (x_modes @ rho).real
     sup_rho = float(np.max(np.abs(rho_x)))
-    if sup_rho >= CLOSURE_SUP_BOUND:
+    if not sup_rho < CLOSURE_SUP_BOUND:
         raise StateEscapeError(
-            f"density profile reached sup {sup_rho:.3g} >= {CLOSURE_SUP_BOUND}; "
-            "the moment closure is no longer perturbative")
+            f"density profile reached sup {sup_rho:.3g}, not below "
+            f"{CLOSURE_SUP_BOUND}; the moment closure is no longer perturbative")
     closure = np.eye(g.n_k) + conv_matrix(rho)
     u = _closure_solve(closure, m1)
     m_t = m2 - conv_matrix(m1) @ u
     temp = _closure_solve(closure, m_t)
     temp_x = (x_modes @ temp).real
-    if float(np.min(1.0 + temp_x)) <= POSITIVITY_FLOOR:
+    temp_min = float(np.min(1.0 + temp_x))
+    if not temp_min > POSITIVITY_FLOOR:
         raise StateEscapeError(
-            f"temperature profile dropped to the positivity floor {POSITIVITY_FLOOR}")
+            f"temperature profile 1 + T reached min {temp_min:.3g}, not above "
+            f"the positivity floor {POSITIVITY_FLOOR}")
     e_field = _force_rows(g, w)[0] * rho
     return HydroMoments(rho=rho, m1=m1, m2=m2, u=u, m_t=m_t, T=temp,
                         e_field=e_field, sup_rho=sup_rho)
