@@ -41,7 +41,7 @@ EXPERIMENT_KINDS = ("dissipation", "landau", "echo", "threshold", "thermalize")
 
 # Frequency spacing per driver, frozen here.  Coarser spacings keep
 # long-horizon cells affordable; no campaign has yet been rerun at a halved
-# spacing to bound the discretization error (ROADMAP item 5).
+# spacing to bound the discretization error (ROADMAP item 6).
 _D_ETA = {
     "dissipation": 0.25,
     "landau": 0.125,
@@ -188,81 +188,6 @@ def _power_fit_dict(fit: PowerFit | None, prefix: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# root finding
-
-_BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
-
-
-def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
-            rtol: float = _BRENTQ_RTOL, maxiter: int = 100) -> float:
-    """Root of f between xa and xb by Brent's method.
-
-    Repeats scipy.optimize.brentq (its C routine brentq.c) operation for
-    operation with the same defaults, so it returns scipy's bytes without
-    importing scipy.optimize, which costs about 0.6 s.
-
-    Raises:
-        ValueError: when f(xa) and f(xb) have the same sign, or f is NaN.
-        RuntimeError: when maxiter iterations do not converge.
-    """
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    def negative(v: float) -> bool:
-        return math.copysign(1.0, v) < 0.0
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if negative(fpre) == negative(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
-                       f"value is {xcur}")
-
-
-# ---------------------------------------------------------------------------
 # shared plumbing
 
 def _window(d_eta: float, eta_need: float, k_max: int) -> PhaseGrid:
@@ -314,8 +239,12 @@ def surrogate_half_life(k: int, nu: float) -> float:
     # exponent decreases without bound in t, so a generous multiple of the
     # cube-root scale always brackets the crossing
     hi = 20.0 * (3.0 * _LN2 / nu) ** (1.0 / 3.0) / kk ** (2.0 / 3.0)
-    return _brentq(lambda t: s_density_exponent(t, kk, nu) + _LN2,
-                   1e-9, hi, xtol=1e-12)
+    # imported here, not with the package: importing scipy.optimize costs
+    # about 0.6 s, and only the dissipation campaign needs it
+    from scipy import optimize
+
+    return optimize.brentq(lambda t: s_density_exponent(t, kk, nu) + _LN2,
+                           1e-9, hi, xtol=1e-12)
 
 
 def _measured_half_life(k: int, nu: float, ts: float, d_eta: float,
@@ -613,11 +542,11 @@ def run_echo(spec: ExperimentSpec) -> EchoReport:
         res = run_simulation(f, nu, w, n_steps, mode="full")
         t = res.times
         e_abs = np.abs(res.e_field[:, grid.k_index(1)])
-        try:
-            t_pred = _brentq(lambda tt: eta_ct(tt, 1, nu) - eta_star,
-                             1e-9, 6.0 * eta_star)
-        except ValueError:
-            t_pred = math.nan
+        # the k = 1 characteristic (1 - e^(-nu t)) / nu sweeps eta_star at
+        # t* = -log1p(-nu eta_star) / nu; it never reaches it when
+        # nu eta_star >= 1
+        t_pred = (-math.log1p(-nu * eta_star) / nu
+                  if nu * eta_star < 1.0 else math.nan)
         inner = np.arange(1, t.size - 1)
         local = inner[(t[inner] > t_search)
                       & (e_abs[inner] >= e_abs[inner - 1])

@@ -113,7 +113,8 @@ _SCHEMA = {
     "mode_center": ("float", lambda v: abs(v) <= 1e4, "in [-1e4, 1e4]"),
     "mode_width": ("float", lambda v: 0.0 < v <= 100.0, "in (0, 100]"),
     "echo_eta_star": ("float", lambda v: 0.0 < v <= 1e4, "in (0, 1e4]"),
-    "echo_pump_k": ("int", lambda v: 1 <= v <= 64, "an integer in [1, 64]"),
+    # pump_k = 1 would put the pump on the seed's +/-1 pair
+    "echo_pump_k": ("int", lambda v: 2 <= v <= 64, "an integer in [2, 64]"),
     "echo_pump_amp": ("float", lambda v: 0.0 <= v <= 10.0, "in [0, 10]"),
     "echo_seed_amp": ("float", lambda v: 0.0 <= v <= 10.0, "in [0, 10]"),
     "threshold_eps_cap": ("float", lambda v: 0.0 < v <= 10.0, "in (0, 10]"),

@@ -271,8 +271,11 @@ class Mode:
         if self.k == 0:
             raise DomainError("initial bumps live on k != 0; the x-average "
                               "is controlled by the projections")
-        if self.width <= 0.0:
-            raise DomainError("bump width must be positive")
+        # written so that NaN fails each check
+        if not 0.0 < self.width < math.inf:
+            raise DomainError("bump width must be positive and finite")
+        if not (abs(self.amp) < math.inf and abs(self.center) < math.inf):
+            raise DomainError("bump amplitude and center must be finite")
 
 
 @dataclass(frozen=True)
@@ -289,8 +292,8 @@ class InitialData:
     modes: tuple[Mode, ...]
 
     def __post_init__(self):
-        if self.eps < 0.0:
-            raise DomainError("eps must be nonnegative")
+        if not 0.0 <= self.eps < math.inf:
+            raise DomainError("eps must be nonnegative and finite")
         seen = set()
         for mo in self.modes:
             if -mo.k in seen:

@@ -37,7 +37,7 @@ from vpfp.experiments import (
 )
 from vpfp.io_config import (RunConfig, config_hash, parse_config,
                             read_manifest)
-from vpfp.semigroup import s_density_exponent
+from vpfp.semigroup import eta_ct, s_density_exponent
 from vpfp.solver import InitialData, Mode, init_state, run_simulation
 
 LN2 = math.log(2.0)
@@ -262,6 +262,27 @@ class TestEcho:
         assert echo_report.strictly_decreasing
         assert echo_report.collisionless_deviation < 0.10
 
+    @pytest.mark.parametrize(
+        "nu", [float(v) for v in np.geomspace(1e-9, 3e-2, 15)])
+    def test_predicted_time_closed_form(self, nu):
+        # every seed offset from 4 to 128; the k = 1 characteristic never
+        # reaches eta_star when nu * eta_star >= 1
+        for j in range(4, 15):
+            eta_star = 2.0 ** (j / 2)
+            t_pred = predicted_echo_time(nu, eta_star)
+            if nu * eta_star >= 1.0:
+                assert math.isnan(t_pred)
+            else:
+                assert t_pred == -math.log1p(-nu * eta_star) / nu
+                assert abs(eta_ct(t_pred, 1, nu) / eta_star - 1.0) < 1e-13
+
+    def test_predicted_time_near_the_reach_limit(self):
+        # nu * eta_star = 0.999: the crossing comes at 6.9 eta_star, past
+        # the [1e-9, 6 eta_star] bracket a root search used to take
+        t_pred = predicted_echo_time(0.0999, 10.0)
+        assert 6.0 * 10.0 < t_pred < math.inf
+        assert abs(eta_ct(t_pred, 1, 0.0999) / 10.0 - 1.0) < 1e-13
+
     def test_out_of_reach_seed_reports_no_echo(self):
         cfg = RunConfig(nu_list=(1e-3,), echo_eta_star=40.0, t_final=10.0)
         rep = run_echo(ExperimentSpec.from_config("echo", cfg))
@@ -277,6 +298,13 @@ class TestEcho:
                            "echo_pump_k = 3\nnu_list = 0.001\nt_final = 4\n")
         with pytest.raises(ConfigError, match="`kernel_table` has 4 entries"):
             run_echo(ExperimentSpec.from_config("echo", cfg))
+
+
+def predicted_echo_time(nu, eta_star):
+    """predicted_time of a one-step echo run with this seed offset."""
+    cfg = RunConfig(nu_list=(nu,), echo_eta_star=eta_star, t_final=0.25)
+    return run_echo(ExperimentSpec.from_config("echo", cfg)).rows[0][
+        "predicted_time"]
 
 
 THRESHOLD_CFG = RunConfig(nu_list=(1e-4,), threshold_ratio_tol=1.3)
@@ -543,3 +571,42 @@ class TestOutputs:
         cfg = RunConfig(nu_list=(1e-4, 1e-3), k_list=(1,))
         run_experiment("dissipation", cfg)
         assert list(tmp_path.iterdir()) == []
+
+
+# Small runs of the four campaigns that march, with the step modes each takes.
+STEP_ACCOUNTING = [
+    ("echo", RunConfig(nu_list=(1e-3,), t_final=4.0, echo_eta_star=4.0),
+     {"full"}),
+    ("landau", RunConfig(nu_list=(1e-3,)), {"linear"}),
+    ("threshold", RunConfig(nu_list=(1e-4,), threshold_eps_cap=0.05),
+     {"linear", "full"}),
+    ("dissipation", RunConfig(nu_list=(1e-3,), k_list=(1,)), {"free"}),
+]
+
+
+@pytest.mark.parametrize("kind, cfg, modes", STEP_ACCOUNTING,
+                         ids=[kind for kind, _, _ in STEP_ACCOUNTING])
+def test_every_step_goes_through_solver_step(monkeypatch, kind, cfg, modes):
+    """The benchmark counts steps and lattice updates by rebinding
+    solver.step, reading the field's grid and the mode from the call's
+    arguments; a march that advanced any other way would read as no work.
+    The witness is the transport sub-flow, which every step takes once."""
+    stepped, streamed = [], []
+    real_step, real_transport = solver.step, solver.transport_step
+
+    def counted_step(*args, **kwargs):
+        grid = args[0].grid
+        mode = kwargs.get("mode", args[3] if len(args) > 3 else "full")
+        stepped.append((mode, grid.n_k * grid.n_eta))
+        return real_step(*args, **kwargs)
+
+    def counted_transport(field):
+        streamed.append(field.grid.n_k * field.grid.n_eta)
+        return real_transport(field)
+
+    monkeypatch.setattr(solver, "step", counted_step)
+    monkeypatch.setattr(solver, "transport_step", counted_transport)
+    run_experiment(kind, cfg)
+    assert streamed
+    assert [size for _, size in stepped] == streamed
+    assert {mode for mode, _ in stepped} == modes

@@ -43,6 +43,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="`nu` must be"):
             parse_config("nu = -1\n")
 
+    def test_echo_pump_on_the_seed_mode_names_line(self):
+        # the echo seed sits on k = -1; a pump on k = 1 would share its pair
+        with pytest.raises(ConfigError,
+                           match="line 2: `echo_pump_k` must be an integer "
+                                 r"in \[2, 64\]"):
+            parse_config("nu = 1e-3\necho_pump_k = 1\n")
+        assert parse_config("echo_pump_k = 2\n").echo_pump_k == 2
+
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ConfigError, match="not a valid float"):
             parse_config("nu = fast\n")

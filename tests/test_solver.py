@@ -661,6 +661,17 @@ class TestInitState:
         with pytest.raises(DomainError):
             InitialData(**bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["eps", "amp", "center", "width"])
+    def test_non_finite_datum_rejected(self, field, bad):
+        # NaN slips past a plain `x < 0` check, and init_state would then
+        # build an all-NaN state without raising
+        with pytest.raises(DomainError, match="finite"):
+            if field == "eps":
+                InitialData(eps=bad, modes=(Mode(1, 1.0),))
+            else:
+                Mode(**{"k": 1, "amp": 1.0, field: bad})
+
     def test_zero_mode_bump_rejected(self):
         with pytest.raises(DomainError):
             Mode(0, 1.0)
