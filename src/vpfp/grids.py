@@ -4,7 +4,8 @@ The state h is stored unmixed: rows are integer wavenumbers k in
 [-k_max, k_max], columns are uniform samples of the velocity-frequency
 variable eta in [-eta_max, eta_max).  The time step is tied to the eta
 spacing (dt = d_eta) so that the shear transport step is an exact integer
-column shift per row.
+column shift per row.  Every datum is real and parity-even, and the flow
+keeps it that way, so the state is stored as real numbers.
 """
 
 from __future__ import annotations
@@ -83,10 +84,10 @@ class PhaseGrid:
 
 @dataclass
 class SpectralField:
-    """State on a PhaseGrid: data[k_index, eta_index], plus the clock.
+    """Real state on a PhaseGrid: data[k_index, eta_index], plus the clock.
 
-    Physical states satisfy the reality symmetry
-    data(-k, -eta) = conj(data(k, eta)).
+    Physical states satisfy the reality symmetry, which for real data
+    reads data(-k, -eta) = data(k, eta).
     """
 
     grid: PhaseGrid
@@ -97,25 +98,27 @@ class SpectralField:
         want = (self.grid.n_k, self.grid.n_eta)
         if self.data.shape != want:
             raise DomainError(f"data shape {self.data.shape} != {want}")
-        if self.data.dtype != np.complex128:
-            self.data = self.data.astype(np.complex128)
+        if np.iscomplexobj(self.data):
+            raise DomainError("the lattice state is real; got complex data")
+        if self.data.dtype != np.float64:
+            self.data = self.data.astype(np.float64)
 
     @classmethod
     def zeros(cls, grid: PhaseGrid) -> "SpectralField":
-        return cls(grid=grid, data=np.zeros((grid.n_k, grid.n_eta), dtype=np.complex128))
+        return cls(grid=grid, data=np.zeros((grid.n_k, grid.n_eta)))
 
     def copy(self) -> "SpectralField":
         return SpectralField(grid=self.grid, data=self.data.copy(), time=self.time)
 
     def _mirror(self) -> np.ndarray:
-        """conj(data(-k, -eta)) resampled onto the lattice.
+        """data(-k, -eta) resampled onto the lattice.
 
         Column 0 (eta = -eta_max) has no mirror sample and pairs with itself.
         """
-        flipped = np.conj(self.data[::-1, ::-1])
+        flipped = self.data[::-1, ::-1]
         out = np.empty_like(self.data)
         out[:, 1:] = flipped[:, :-1]
-        out[:, 0] = np.conj(self.data[::-1, 0])
+        out[:, 0] = self.data[::-1, 0]
         return out
 
     def reality_defect(self) -> float:

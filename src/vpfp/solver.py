@@ -2,8 +2,11 @@
 
 State and splitting.  The unknown h(t, k, eta) is the Fourier transform of
 the perturbation around the global Maxwellian, stored unmixed (no moving
-frame).  One time step of size dt = d_eta composes five exact or
-Runge-Kutta sub-flows symmetrically:
+frame).  Every datum is real and parity-even, h(-k, -eta) = h(k, eta), and
+each sub-flow maps such states to such states, so h is stored as real
+numbers and every lattice-sized array of the step is real; the n_k-long
+moment vectors of the closure stay complex.  One time step of size
+dt = d_eta composes five exact or Runge-Kutta sub-flows symmetrically:
 
     OU(dt/2) o N(dt/2) o T(dt) o N(dt/2) o OU(dt/2)
 
@@ -16,21 +19,21 @@ Runge-Kutta sub-flows symmetrically:
     the eta = 0 column exact.  The contracted points, their intervals and
     local coordinates, the growth row and the defect row depend only on
     (grid, nu, dt) and form a cached OU plan; each substep computes only
-    the PCHIP slopes of its data, and only on the rows and columns between
-    the first and last nonzero ones, the columns widened by the
-    interpolant's reach of 3; every other point is +0.0.  The resampler
-    repeats scipy's PchipInterpolator operation for operation, so a
-    substep gives the same bytes as resampling with scipy.
+    the PCHIP slopes of its data, and only on the columns between the
+    first and last nonzero ones, widened by the interpolant's reach of 3;
+    every other point is +0.0.  The resampler repeats scipy's
+    PchipInterpolator operation for operation, so a substep gives the same
+    bytes as resampling with scipy.
   * N: the coupling terms (self-consistent force and the moment-feedback
     corrections that give the collision operator its local conservation
     laws) integrated with classical RK4, moments recomputed every stage.
     The k-convolutions commute with the eta-row multiplications and the
     eta stencil, so a stage applies its three moment convolutions to the
-    state as one stacked (3 n_k x n_k) product and takes the eta-derivative
-    of one block only; the background and Maxwellian-profile terms are
-    rank-1 products with two cached rows.  The eta rows, kernel rows and
-    x-profile matrix these stages read depend only on the grid and the
-    kernel row and are cached read-only as well.  The linear coupling
+    state as one real stacked (3 n_k x n_k) product and takes the
+    eta-derivative of one block only; the background and Maxwellian-profile
+    terms are rank-1 products with two cached rows.  The eta rows, kernel
+    rows and x-profile matrix these stages read depend only on the grid and
+    the kernel row and are cached read-only as well.  The linear coupling
     reads only the eta = 0 column, which its own increment leaves
     unchanged up to the sign of a zero, so a linear substep evaluates it
     once for all four stages.
@@ -112,7 +115,7 @@ class _StepPlan:
 
     eta: np.ndarray        # eta
     neg_eta2: np.ndarray   # -(eta^2)
-    i_eta_mu: np.ndarray   # 1j eta mu_hat(eta), one-dimensional
+    eta_mu: np.ndarray     # eta mu_hat(eta), one-dimensional
     eta2_mu: np.ndarray    # eta^2 mu_hat(eta), one-dimensional
     x_modes: np.ndarray    # e^(i k x), shape (n_x, n_k)
 
@@ -125,7 +128,7 @@ def _step_plan(grid: PhaseGrid) -> _StepPlan:
     row = eta[None, :]
     mu = mu_hat(eta)
     return _StepPlan(*(_read_only(a) for a in (
-        row, -(row ** 2), 1j * eta * mu, eta ** 2 * mu,
+        row, -(row ** 2), eta * mu, eta ** 2 * mu,
         np.exp(1j * np.outer(x, grid.k_values)))))
 
 
@@ -151,7 +154,8 @@ class HydroMoments:
     T solve the closures (1 + rho) u = m1 and (1 + rho) T = m_t, with
     m_t = m2 - m1 * u (all products as band convolutions, the two systems
     solved directly in band form); e_field is the self-consistent force
-    coefficient -i k w(k) rho(k).
+    coefficient -i k w(k) rho(k).  rho and m2 are real; the others are
+    complex, m1, u and e_field purely imaginary on a real state.
     """
 
     rho: np.ndarray
@@ -166,12 +170,15 @@ class HydroMoments:
 
 def _eta_stencils(d: np.ndarray, g: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     """Fourth-order first and second eta-derivatives at eta = 0 of data
-    whose last axis is the grid's eta."""
+    whose last axis is the grid's eta.  Both multiply by the reciprocal of
+    the stencil's denominator; a division rounds differently and moves the
+    campaign outputs at rounding level."""
     j = g.i_zero
     h = g.d_eta
-    d1 = (d[..., j - 2] - 8.0 * d[..., j - 1] + 8.0 * d[..., j + 1] - d[..., j + 2]) / (12.0 * h)
+    d1 = (d[..., j - 2] - 8.0 * d[..., j - 1] + 8.0 * d[..., j + 1]
+          - d[..., j + 2]) * (1.0 / (12.0 * h))
     d2 = (-d[..., j - 2] + 16.0 * d[..., j - 1] - 30.0 * d[..., j]
-          + 16.0 * d[..., j + 1] - d[..., j + 2]) / (12.0 * h * h)
+          + 16.0 * d[..., j + 1] - d[..., j + 2]) * (1.0 / (12.0 * h * h))
     return d1, d2
 
 
@@ -247,9 +254,9 @@ def conserved_quantities(field: SpectralField, w: InteractionKernel) -> Conserve
     g = field.grid
     d1, d2 = _eta_stencils(field.data, g)
     i0 = g.k_index(0)
-    mass = 2.0 * math.pi * float(field.data[i0, g.i_zero].real)
+    mass = 2.0 * math.pi * float(field.data[i0, g.i_zero])
     momentum = 2.0 * math.pi * float((1j * d1[i0]).real)
-    kinetic = math.pi * (1.0 + float((-d2[i0]).real))
+    kinetic = math.pi * (1.0 + float(-d2[i0]))
     rho = field.data[:, g.i_zero]
     field_e = math.pi * float(np.sum(_force_rows(g, w)[1] * np.abs(rho) ** 2))
     return ConservedQuantities(mass=mass, momentum=momentum,
@@ -259,18 +266,24 @@ def conserved_quantities(field: SpectralField, w: InteractionKernel) -> Conserve
 @dataclass(frozen=True)
 class Mode:
     """One Gaussian bump of initial data: amp * exp(-(eta - center)^2 / (2 width^2))
-    on spatial mode k.  The reality partner on -k is added automatically;
+    on spatial mode k, with a real amplitude.  The reality partner
+    amp * exp(-(eta + center)^2 / (2 width^2)) on -k is added automatically;
     list each +/- pair only once."""
 
     k: int
-    amp: complex
+    amp: float
     center: float = 0.0
     width: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.k, (int, np.integer)):
+            raise DomainError(f"bump mode k = {self.k!r} is not an integer")
+        if np.iscomplexobj(self.amp):
+            raise DomainError(f"bump on mode k = {self.k} has complex amplitude "
+                              f"{self.amp!r}; the lattice state is real")
         if self.k == 0:
             raise DomainError("initial bumps live on k != 0; the x-average "
-                              "is controlled by the projections")
+                              "is set by the energy projection")
         # written so that NaN fails each check
         if not 0.0 < self.width < math.inf:
             raise DomainError("bump width must be positive and finite")
@@ -304,17 +317,16 @@ class InitialData:
 
 
 def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tuple[SpectralField, dict]:
-    """Build the initial lattice state and project onto the constraint set.
+    """Build the initial lattice state and project it onto the energy shell.
 
-    Projections, in order and mutually non-interfering:
-      1. mass: subtract h(0,0) times the Maxwellian profile from the k = 0 row;
-      2. momentum: subtract the odd profile c1 * i eta e^(-eta^2/2) so the
-         first-moment stencil vanishes;
-      3. energy: add c2 * eta^2 e^(-eta^2/2) so the total energy equals the
-         unperturbed value pi, i.e. M2(0) = -field_energy / pi.
+    The bumps sit on the rows +-k != 0, so the k = 0 row starts at zero and
+    the datum carries no mass and, being real, no momentum perturbation.
+    The one projection adds c2 * eta^2 e^(-eta^2/2) to the k = 0 row so
+    that the total energy equals the unperturbed value pi, i.e.
+    M2(0) = -field_energy / pi.
 
     Returns:
-        (field, report); the report records the removed defects and eps.
+        (field, report); the report records the energy shift c2 and eps.
 
     Raises:
         InvariantError: if the raw datum violates reality symmetry.
@@ -331,34 +343,21 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
                 "inside the lattice window")
         f.data[grid.k_index(mo.k)] += mo.amp * np.exp(
             -(eta - mo.center) ** 2 / (2 * mo.width ** 2))
-        f.data[grid.k_index(-mo.k)] += np.conj(mo.amp) * np.exp(
+        f.data[grid.k_index(-mo.k)] += mo.amp * np.exp(
             -(eta + mo.center) ** 2 / (2 * mo.width ** 2))
-    report: dict = {}
     f.data *= data.eps
     defect = f.reality_defect()
     if defect > 1e-10 * max(float(np.max(np.abs(f.data))), 1e-300):
         raise InvariantError(f"raw datum breaks reality symmetry by {defect:.3e}")
 
-    mu = mu_hat(eta)
+    # energy (even profile, stencil-exact second moment)
     i0k = grid.k_index(0)
-    # 1. mass
-    mass_defect = complex(f.data[i0k, grid.i_zero])
-    f.data[i0k] -= mass_defect * mu
-    report["mass_removed"] = mass_defect
-    # 2. momentum (odd imaginary profile, stencil-exact)
-    r_prof = 1j * eta * mu
-    r_d1, _ = _eta_stencils(r_prof, grid)
-    c1 = complex(_eta_stencils(f.data[i0k], grid)[0]) / complex(r_d1)
-    f.data[i0k] -= c1 * r_prof
-    report["momentum_removed"] = complex(2.0 * math.pi * (1j * c1 * r_d1).real)
-    # 3. energy (even profile, stencil-exact second moment)
-    q_prof = eta ** 2 * mu
-    cons = conserved_quantities(f, w)
-    m2_target = -cons.field_energy / math.pi
+    q_prof = eta ** 2 * mu_hat(eta)
+    m2_target = -conserved_quantities(f, w).field_energy / math.pi
     _, q_d2 = _eta_stencils(q_prof, grid)
-    c2 = -(complex(_eta_stencils(f.data[i0k], grid)[1]) + m2_target) / complex(q_d2)
+    c2 = -(float(_eta_stencils(f.data[i0k], grid)[1]) + m2_target) / float(q_d2)
     f.data[i0k] += c2 * q_prof
-    report["energy_shift"] = float(c2.real)
+    report = {"energy_shift": c2}
     f.enforce_reality()
     scale_now = float(np.max(np.abs(f.data)))
     if scale_now > 0 and f.boundary_amplitude() > 1e-12 * scale_now:
@@ -451,20 +450,15 @@ class _ContractedPchip:
 
         A value on interval idx reads y only at idx - 1 ... idx + 2, and
         where those are all zero the power sum's 0.0 seed makes it +0.0.  So
-        only the rows from the first to the last one with a nonzero entry
-        are resampled (the imaginary half of a real field is all zero), and
-        only on the columns from the first to the last nonzero one, widened
-        by 3 on each side, with the plan sliced to match; every other point
-        gets +0.0.  A window end node reads only zeros, so its one-sided
-        slope is zero like its full one.
+        only the columns from the first to the last nonzero one are
+        resampled, widened by 3 on each side, with the plan sliced to match;
+        every other point gets +0.0.  A window end node reads only zeros, so
+        its one-sided slope is zero like its full one.
         """
         out = np.zeros((y.shape[0], self.idx.shape[0]))
-        rows = np.flatnonzero(y.any(axis=1))
-        if rows.size == 0:
-            return out
-        r0, r1 = rows[0], rows[-1] + 1
-        y = y[r0:r1]
         cols = np.flatnonzero(y.any(axis=0))
+        if cols.size == 0:
+            return out
         m, n = y.shape
         a, b = max(cols[0] - 3, 0), min(cols[-1] + 4, n)
         # the points on intervals a ... b - 2
@@ -474,7 +468,7 @@ class _ContractedPchip:
             self.s3[p0:p1], self.h[a:b - 1], self.w1[a:b - 2],
             self.w2[a:b - 2], self.w12[a:b - 2])
         y = y[:, a:b]
-        part = out[r0:r1, p0:p1]
+        part = out[:, p0:p1]
         n_blocks = -(-m * (b - a) // _BLOCK_VALUES)
         block = -(-m // n_blocks)
         for r in range(0, m, block):
@@ -541,9 +535,8 @@ def ou_step(field: SpectralField, nu: float, dt: float) -> None:
     The contracted points, their intervals and local coordinates, the growth
     row G and the defect row are an OU plan, built on the first call for a
     (grid, nu, dt) and cached; a call only computes the PCHIP slopes of the
-    real and imaginary rows, stacked into one real array.  The result is
-    bit-identical to evaluating scipy's PchipInterpolator(eta, row, axis=1)
-    at the contracted points.
+    state's rows.  The result is bit-identical to evaluating scipy's
+    PchipInterpolator(eta, field.data, axis=1) at the contracted points.
     """
     if dt < 0.0:
         raise DomainError("time step must be nonnegative")
@@ -551,8 +544,7 @@ def ou_step(field: SpectralField, nu: float, dt: float) -> None:
         return
     g = field.grid
     plan = _ou_plan(g, nu, dt)
-    p = plan.resample(np.concatenate((field.data.real, field.data.imag)))
-    field.data = ((p[:g.n_k] + 1j * p[g.n_k:]) * plan.growth
+    field.data = (plan.resample(field.data) * plan.growth
                   + field.data[:, g.i_zero][:, None] * plan.defect[None, :])
 
 
@@ -569,39 +561,41 @@ def _rhs_full(field: SpectralField, m: HydroMoments,
     with i folded into A and D's 1 / (12 d_eta) into C so that the A and C
     blocks share their eta factor.  The last two terms are the background
     row under the force and the Maxwellian profile of the moment feedback.
+    On a real state e + nu m1 is purely imaginary and m_t real, so the
+    coefficient rows and every term are real.
     """
     g = field.grid
     p = _step_plan(g)
     n = g.n_k
     feed = m.e_field + nu * m.m1
     coeffs = np.stack((-1j * feed, nu * (m.rho + m.m_t),
-                       nu / (12.0 * g.d_eta) * m.rho))
+                       nu / (12.0 * g.d_eta) * m.rho)).real
     a_h, b_h, c_h = (conv_matrix(coeffs).reshape(3 * n, n)
                      @ field.data).reshape(3, n, -1)
     a_h[:, 2:-2] -= (c_h[:, :-4] - c_h[:, 4:]) - 8.0 * (c_h[:, 1:-3] - c_h[:, 3:-1])
     out = p.eta * a_h
     out += p.neg_eta2 * b_h
-    out -= np.outer(feed, p.i_eta_mu)
-    out -= np.outer(nu * m.m_t, p.eta2_mu)
+    out += np.outer(feed.imag, p.eta_mu)
+    out -= np.outer(nu * m.m_t.real, p.eta2_mu)
     return out
 
 
 def _rhs_linear(field: SpectralField, w: InteractionKernel) -> np.ndarray:
     g = field.grid
     e = _force_rows(g, w)[0] * field.data[:, g.i_zero]
-    return -np.outer(e, _step_plan(g).i_eta_mu)
+    return np.outer(e.imag, _step_plan(g).eta_mu)
 
 
 def _rk4_substep(field: SpectralField, nu: float, w: InteractionKernel,
                  mode: str, dt: float) -> None:
     """Classical RK4 on the coupling terms.
 
-    The linear RHS reads only the eta = 0 column, where i eta mu is zero, so
+    The linear RHS reads only the eta = 0 column, where eta mu is zero, so
     the four stages see that column unchanged and one evaluation serves all
     of them; the stage sum keeps its order, so the bytes are RK4's.  The one
-    exception is a row whose eta = 0 entry has real part -0.0 and imaginary
-    part <= -0.0: a stage may see +0.0 there, and some zeros of the result
-    then differ from RK4's in sign, never in value.
+    exception is a row whose eta = 0 entry is -0.0: a stage may see +0.0
+    there, and some zeros of the result then differ from RK4's in sign,
+    never in value.
     """
     if mode == "free":
         return

@@ -590,15 +590,19 @@ def test_every_step_goes_through_solver_step(monkeypatch, kind, cfg, modes):
     """The benchmark counts steps and lattice updates by rebinding
     solver.step, reading the field's grid and the mode from the call's
     arguments; a march that advanced any other way would read as no work.
-    The witness is the transport sub-flow, which every step takes once."""
-    stepped, streamed = [], []
+    The witness is the transport sub-flow, which every step takes once.
+    Every state a step sees or leaves is real."""
+    stepped, streamed, dtypes = [], [], set()
     real_step, real_transport = solver.step, solver.transport_step
 
     def counted_step(*args, **kwargs):
         grid = args[0].grid
         mode = kwargs.get("mode", args[3] if len(args) > 3 else "full")
         stepped.append((mode, grid.n_k * grid.n_eta))
-        return real_step(*args, **kwargs)
+        dtypes.add(args[0].data.dtype)
+        diag = real_step(*args, **kwargs)
+        dtypes.add(args[0].data.dtype)
+        return diag
 
     def counted_transport(field):
         streamed.append(field.grid.n_k * field.grid.n_eta)
@@ -610,3 +614,4 @@ def test_every_step_goes_through_solver_step(monkeypatch, kind, cfg, modes):
     assert streamed
     assert [size for _, size in stepped] == streamed
     assert {mode for mode, _ in stepped} == modes
+    assert dtypes == {np.dtype(np.float64)}

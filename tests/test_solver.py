@@ -48,13 +48,15 @@ def total_energy(c):
 
 def ref_closure_solve(rho_mat, rhs):
     """Contraction iteration x <- rhs - rho * x for (1 + rho) x = rhs, run
-    to an absolute l1 increment below 1e-14; converges while sup|rho| < 1."""
+    to an l1 increment at most 1e-14 of the l1 norm of rhs; converges while
+    sup|rho| < 1."""
+    tol = 1e-14 * float(np.sum(np.abs(rhs)))
     x = rhs.copy()
     for _ in range(256):
         x_new = rhs - rho_mat @ x
         inc = float(np.sum(np.abs(x_new - x)))
         x = x_new
-        if inc < 1e-14:
+        if inc <= tol:
             return x
     raise AssertionError("closure iteration failed to converge")
 
@@ -121,7 +123,7 @@ class TestTransportStep:
         f = SpectralField.zeros(g)
         datum = {}
         for k in (-2, -1, 1, 2):
-            row = np.exp(-(g.eta - 0.5 * k) ** 2 / 2.0) * (1.0 + 0.3j * k)
+            row = np.exp(-(g.eta - 0.5 * k) ** 2 / 2.0) * (1.0 + 0.3 * k)
             f.data[g.k_index(k)] = row
             datum[k] = row.copy()
         n_steps = 12
@@ -164,12 +166,26 @@ class TestPhaseGrid:
             PhaseGrid(k_max=1, eta_max=eta_max, n_eta=8, dt=dt)
 
 
+class TestSpectralField:
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_complex_data_rejected(self, dtype):
+        g = small_grid()
+        with pytest.raises(DomainError, match="real"):
+            SpectralField(grid=g, data=np.zeros((g.n_k, g.n_eta), dtype=dtype))
+
+    def test_real_data_stored_as_float64(self):
+        g = small_grid()
+        f = SpectralField(grid=g, data=np.ones((g.n_k, g.n_eta), dtype=np.float32))
+        assert f.data.dtype == np.float64
+        assert SpectralField.zeros(g).data.dtype == np.float64
+
+
 class TestOuStep:
     def test_maxwellian_rows_exactly_invariant(self):
         g = small_grid()
         f = SpectralField.zeros(g)
         rng = np.random.default_rng(3)
-        coeffs = rng.standard_normal(g.n_k) + 1j * rng.standard_normal(g.n_k)
+        coeffs = rng.standard_normal(g.n_k)
         mu = np.exp(-g.eta ** 2 / 2)
         f.data = np.outer(coeffs, mu)
         before = f.data.copy()
@@ -180,9 +196,7 @@ class TestOuStep:
         g = small_grid()
         f = SpectralField.zeros(g)
         rng = np.random.default_rng(4)
-        f.data = (rng.standard_normal(f.data.shape)
-                  + 1j * rng.standard_normal(f.data.shape))
-        f.data *= np.exp(-g.eta ** 2 / 8)[None, :]
+        f.data = rng.standard_normal(f.data.shape) * np.exp(-g.eta ** 2 / 8)[None, :]
         before = f.data[:, g.i_zero].copy()
         ou_step(f, nu=0.2, dt=0.5)
         assert np.array_equal(f.data[:, g.i_zero], before)
@@ -237,7 +251,7 @@ class TestOuStep:
         ou_step(f, nu, dt)
         closed = (np.exp(-(np.exp(-nu * dt) * eta - c) ** 2 / 2.0)
                   * np.exp(0.5 * np.expm1(-2 * nu * dt) * eta ** 2))
-        err = np.max(np.abs(f.data[g.k_index(1)].real - closed))
+        err = np.max(np.abs(f.data[g.k_index(1)] - closed))
         assert err < 1e-8
 
     # the benchmark lattices (landau, echo, threshold, weighted energy), the
@@ -324,7 +338,7 @@ class TestOuStep:
             y[1, j + 20: j + 35] = -1e-310
             y[2, j - 2] = 5e-324
         elif case == "real_field":
-            # real and imaginary parts stacked, the imaginary half zero
+            # rough rows over a block of all-zero rows
             y[: n_rows // 2] = TestOuStep.rough_rows(rng, n_rows // 2, n_eta)
         elif case == "inner_rows":
             y[1, j - 50: j + 50] = bump(100)
@@ -377,23 +391,20 @@ class TestOuStep:
 
     @pytest.mark.parametrize("k_max,eta_max,n_eta", LATTICES[:4])
     def test_step_matches_per_call_scipy_reference(self, k_max, eta_max, n_eta):
-        # the reference rebuilds three scipy interpolants per call
+        # the reference rebuilds two scipy interpolants per call
         g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
                       dt=2.0 * eta_max / n_eta)
         nu, dt = 1e-3, 0.5 * g.dt
         rng = np.random.default_rng(7)
-        f = SpectralField(grid=g, data=(
-            self.rough_rows(rng, g.n_k, n_eta)
-            + 1j * self.rough_rows(rng, g.n_k, n_eta)))
+        f = SpectralField(grid=g, data=self.rough_rows(rng, g.n_k, n_eta))
         eta = g.eta
         xi = math.exp(-nu * dt) * eta
         growth = np.exp(0.5 * np.expm1(-2.0 * nu * dt) * eta ** 2)
         mu = np.exp(-0.5 * eta ** 2)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            p_re = PchipInterpolator(eta, f.data.real, axis=1)(xi)
-            p_im = PchipInterpolator(eta, f.data.imag, axis=1)(xi)
+            p = PchipInterpolator(eta, f.data, axis=1)(xi)
             p_mu = PchipInterpolator(eta, mu)(xi)
-        want = ((p_re + 1j * p_im) * growth
+        want = (p * growth
                 + f.data[:, g.i_zero][:, None] * (mu - p_mu * growth)[None, :])
         ou_step(f, nu, dt)
         assert f.data.tobytes() == want.tobytes()
@@ -418,8 +429,7 @@ class TestOuStep:
     def test_cached_plan_gives_same_bytes(self):
         g = small_grid()
         rng = np.random.default_rng(5)
-        data = (self.rough_rows(rng, g.n_k, g.n_eta)
-                + 1j * self.rough_rows(rng, g.n_k, g.n_eta))
+        data = self.rough_rows(rng, g.n_k, g.n_eta)
         nu, dt = 0.37, 0.0625   # a key no other test uses: first call builds
         start = _ou_plan.cache_info()
         f1 = SpectralField(grid=g, data=data.copy())
@@ -442,7 +452,7 @@ class TestOuStep:
         f.data[g.k_index(0)] = prof
         ou_step(f, nu, dt)
         expect = np.exp(-j * nu * dt) * prof
-        assert np.max(np.abs(f.data[g.k_index(0)].real - expect)) < tol
+        assert np.max(np.abs(f.data[g.k_index(0)] - expect)) < tol
 
 
 class TestComputeMoments:
@@ -467,30 +477,37 @@ class TestComputeMoments:
         assert abs(m.e_field[g.k_index(-1)] - (1j * eps * w(-1))) < 1e-18
 
     def test_shifted_maxwellian_velocity(self):
-        # h = mu(v-a) - mu(v) transforms to (e^{-i a eta} - 1) mu_hat
+        # counter-streaming Maxwellians sin(x) (mu(v-a) - mu(v+a)) / 2, a
+        # real parity-even datum, transform to h(+-1, eta) = -+ sin(a eta)
+        # mu_hat / 2: zero density and momentum a sin(x), whose k = 1
+        # coefficient is -i a / 2
         a = 1e-3
         g = PhaseGrid(k_max=1, eta_max=8.0, n_eta=800, dt=0.02)
         f = SpectralField.zeros(g)
-        f.data[g.k_index(0)] = (np.exp(-1j * a * g.eta) - 1.0) * np.exp(-g.eta ** 2 / 2)
+        row = 0.5 * np.sin(a * g.eta) * np.exp(-g.eta ** 2 / 2)
+        f.data[g.k_index(1)] = -row
+        f.data[g.k_index(-1)] = row
         m = compute_moments(f, coulomb(1))
-        u0 = m.u[g.k_index(0)]
-        assert abs(u0 - a) < 1e-6
+        assert np.all(m.rho == 0)
+        u1 = m.u[g.k_index(1)]
+        assert abs(u1 - (-0.5j * a)) < 1e-6
         # Gauss-Hermite oracle for the first moment in physical variables:
-        # integral of v (mu(v-a) - mu(v)) dv
+        # integral of v (mu(v-a) - mu(v+a)) / 2 dv
         nodes, weights = roots_hermite(80)
         v = np.sqrt(2.0) * nodes
-        vals = v * (np.exp(-(v - a) ** 2 / 2) - np.exp(-v ** 2 / 2)) / np.sqrt(2 * np.pi)
+        vals = v * (np.exp(-(v - a) ** 2 / 2)
+                    - np.exp(-(v + a) ** 2 / 2)) / (2.0 * np.sqrt(2 * np.pi))
         oracle = np.sum(weights * vals * np.exp(nodes ** 2) * np.sqrt(2.0))
         assert abs(oracle - a) < 1e-9
-        assert abs(m.m1[g.k_index(0)] - oracle) < 1e-6
+        assert abs(m.m1[g.k_index(1)] - (-0.5j * oracle)) < 1e-6
 
     def test_closure_residuals(self):
         g = small_grid(k_max=3, eta_max=12.0, n_eta=192)
         f = SpectralField.zeros(g)
         mu = np.exp(-g.eta ** 2 / 2)
-        for k, amp in ((1, 0.08 + 0.02j), (2, 0.03 - 0.01j), (3, 0.01j)):
+        for k, amp in ((1, 0.08), (2, -0.03), (3, 0.01)):
             f.data[g.k_index(k)] = amp * np.exp(-(g.eta - 0.2 * k) ** 2 / 2)
-            f.data[g.k_index(-k)] = np.conj(amp) * np.exp(-(g.eta + 0.2 * k) ** 2 / 2)
+            f.data[g.k_index(-k)] = amp * np.exp(-(g.eta + 0.2 * k) ** 2 / 2)
         f.data[g.k_index(0)] = 0.05 * g.eta ** 2 * mu
         m = compute_moments(f, coulomb(3))
         res = closure_residuals(m)
@@ -507,12 +524,15 @@ class TestComputeMoments:
         mu = np.exp(-g.eta ** 2 / 2)
         f = SpectralField.zeros(g)
         for k in range(1, 4):
-            a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            a, b = rng.standard_normal(2)
             c = rng.uniform(-0.5, 0.5)
-            for sign in (1, -1):  # h(-k, eta) = conj(h(k, -eta))
+            for sign in (1, -1):  # h(-k, eta) = h(k, -eta)
                 x = sign * g.eta - c
-                row = a * mu + 0.1 * b * x * np.exp(-x ** 2 / 2)
-                f.data[g.k_index(sign * k)] = row if sign > 0 else np.conj(row)
+                # (1 + x^2 / 2) e^(-x^2 / 2) has no second moment at c = 0,
+                # so the temperature stays off its floor as the density
+                # nears the bound
+                f.data[g.k_index(sign * k)] = (
+                    a * (1.0 + 0.5 * x ** 2) + 0.1 * b * x) * np.exp(-x ** 2 / 2)
         f.data[g.k_index(0)] = 0.02 * rng.standard_normal() * g.eta ** 2 * mu
         assert f.reality_defect() < 1e-15
         rows = [g.k_index(k) for k in (-3, -2, -1, 1, 2, 3)]
@@ -636,7 +656,7 @@ class TestInitState:
         g = small_grid(k_max=2, eta_max=20.0, n_eta=320)
         w = coulomb(2)
         f, report = init_state(
-            InitialData(eps=1e-3, modes=(Mode(1, 0.8 + 0.3j, 0.7, 1.0),)), g, w)
+            InitialData(eps=1e-3, modes=(Mode(1, 0.8, 0.7, 1.0),)), g, w)
         c = conserved_quantities(f, w)
         assert abs(c.mass) < 1e-14
         assert abs(c.momentum) < 1e-14
@@ -672,6 +692,17 @@ class TestInitState:
             else:
                 Mode(**{"k": 1, "amp": 1.0, field: bad})
 
+    @pytest.mark.parametrize("k,amp", [
+        (math.nan, 1.0), (1.5, 1.0), (1.0, 1.0),
+        (1, 0.8 + 0.3j), (1, 1.0 + 0.0j), (np.int64(2), np.complex128(1.0))])
+    def test_malformed_mode_rejected(self, k, amp):
+        # a non-integer k would otherwise reach numpy's IndexError in k_index
+        with pytest.raises(DomainError, match="k = "):
+            Mode(k, amp)
+
+    def test_numpy_integer_mode_accepted(self):
+        assert Mode(np.int64(2), np.float64(0.5)).k == 2
+
     def test_zero_mode_bump_rejected(self):
         with pytest.raises(DomainError):
             Mode(0, 1.0)
@@ -700,7 +731,7 @@ class TestNonlinearRhs:
         g = small_grid(k_max=2, eta_max=20.0, n_eta=320)
         w = coulomb(2)
         f, _ = init_state(InitialData(eps=0.05,
-                                      modes=(Mode(1, 0.8 + 0.3j, 0.7, 1.0),)), g, w)
+                                      modes=(Mode(1, 0.8, 0.7, 1.0),)), g, w)
         m = compute_moments(f, w)
         out = _rhs_full(f, m, nu=1e-2)
         assert np.all(out[:, g.i_zero] == 0)
@@ -826,7 +857,8 @@ def ref_rhs_linear(field, w):
     kf = g.k_values.astype(float)
     e = -1j * kf * ref_kernel_row(g, w) * rho
     eta = g.eta
-    return -np.outer(e, 1j * eta * mu_hat(eta))
+    # -e (i eta mu) for the purely imaginary force e
+    return np.outer(e.imag, eta * mu_hat(eta))
 
 
 class TestStepPlan:
@@ -837,15 +869,14 @@ class TestStepPlan:
 
     @staticmethod
     def seeded_field(g, seed):
-        """Gaussian bumps with random complex amplitudes, centers and widths
-        under random complex noise in the low bits."""
+        """Gaussian bumps with random amplitudes, centers and widths under
+        random noise in the low bits."""
         rng = np.random.default_rng(seed)
         col = (g.n_k, 1)
-        amp = 0.01 * (rng.standard_normal(col) + 1j * rng.standard_normal(col))
+        amp = 0.01 * rng.standard_normal(col)
         bumps = amp * np.exp(-(g.eta - rng.uniform(-1.0, 1.0, col)) ** 2
                              / (2.0 * rng.uniform(0.7, 1.5, col) ** 2))
-        noise = (rng.standard_normal((g.n_k, g.n_eta))
-                 + 1j * rng.standard_normal((g.n_k, g.n_eta)))
+        noise = rng.standard_normal((g.n_k, g.n_eta))
         return SpectralField(grid=g, data=bumps + 1e-7 * noise)
 
     @pytest.mark.parametrize("k_max,eta_max,n_eta", LATTICES)
@@ -921,10 +952,9 @@ class TestLinearSubstep:
         g = PhaseGrid(k_max=1, eta_max=153.25, n_eta=2452, dt=0.125)
         f = TestStepPlan.seeded_field(g, 17)
         f.data[:, :300] = 0.0
-        f.data[:, -300:] = complex(-0.0, -0.0)
-        f.data[:, 400:420] = complex(-0.0, 0.0)
-        f.data[:, g.i_zero] = [complex(0.2, -0.0), complex(0.0, -0.0),
-                               complex(-0.0, 0.3)]
+        f.data[:, -300:] = -0.0
+        f.data[:, 400:420] = -0.0
+        f.data[:, g.i_zero] = [0.2, 0.0, -0.3]
         return f
 
     def test_matches_four_stage_rk4_bytes(self):
@@ -934,14 +964,14 @@ class TestLinearSubstep:
         _rk4_substep(f, 1e-5, w, "linear", 0.0625)
         assert f.data.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("entry", [complex(-0.0, -0.0),
-                                       complex(-0.0, -1e-3)])
-    def test_negative_zero_real_part_changes_only_zero_signs(self, entry):
+    @pytest.mark.parametrize("rows", [(0, 1, 2), (0, 2)],
+                             ids=["every_row", "force_rows"])
+    def test_negative_zero_entry_changes_only_zero_signs(self, rows):
         # the one case where the stages can see +0.0 in place of -0.0
         f = self.landau_field()
         w = coulomb(1)
-        for row in range(3):
-            f.data[row, f.grid.i_zero] = entry
+        for row in rows:
+            f.data[row, f.grid.i_zero] = -0.0
         want = ref_rk4_linear_substep(f, w, 0.0625)
         _rk4_substep(f, 1e-5, w, "linear", 0.0625)
         assert np.array_equal(f.data, want)
@@ -993,7 +1023,7 @@ class TestStep:
         w = coulomb(2)
         nu = 1e-2
         f, _ = init_state(
-            InitialData(eps=0.05, modes=(Mode(1, 0.8 + 0.3j, 0.7, 1.0),)), g, w)
+            InitialData(eps=0.05, modes=(Mode(1, 0.8, 0.7, 1.0),)), g, w)
         for _ in range(3):
             step(f, nu, w, "full")
         replay = f.copy()
@@ -1089,7 +1119,7 @@ class TestConservationRun:
         g = small_grid(k_max=2, eta_max=20.0, n_eta=320)
         w = coulomb(2)
         f, _ = init_state(
-            InitialData(eps=1e-4, modes=(Mode(1, 0.8 + 0.3j, 0.7, 1.0),)), g, w)
+            InitialData(eps=1e-4, modes=(Mode(1, 0.8, 0.7, 1.0),)), g, w)
         c0 = conserved_quantities(f, w)
         res = run_simulation(f, 1e-3, w, 32, mode="full")
         c1 = conserved_quantities(res.final, w)
@@ -1102,7 +1132,7 @@ class TestConservationRun:
         g = small_grid(k_max=2, eta_max=20.0, n_eta=320)
         w = coulomb(2)
         f, _ = init_state(
-            InitialData(eps=0.05, modes=(Mode(1, 0.8 + 0.3j, 0.7, 1.0),)), g, w)
+            InitialData(eps=0.05, modes=(Mode(1, 0.8, 0.7, 1.0),)), g, w)
         c0 = conserved_quantities(f, w)
         res = run_simulation(f, 1e-2, w, 32, mode="full")
         c1 = conserved_quantities(res.final, w)
@@ -1126,12 +1156,12 @@ class TestConservationRun:
 
     def test_recorded_conserved_quantities_are_those_of_the_states(self):
         # the records and drift maxima come from the march's one measurement
-        # per state; replay and measure directly.  The off-centre complex
-        # bump gives nonzero momentum drifts and reality defects.
+        # per state; replay and measure directly.  The off-centre bump gives
+        # nonzero reality defects; a real state carries no momentum.
         g = small_grid(k_max=1, eta_max=16.0, n_eta=128)
         w = coulomb(1)
         f, _ = init_state(InitialData(
-            eps=1e-2, modes=(Mode(1, 0.8 + 0.3j, 0.7, 1.0),)), g, w)
+            eps=1e-2, modes=(Mode(1, 0.8, 0.7, 1.0),)), g, w)
         replay = f.copy()
         res = run_simulation(f, 1e-2, w, 7, mode="full")
         want = [conserved_quantities(replay, w)]
@@ -1147,7 +1177,6 @@ class TestConservationRun:
         assert res.max_mass_drift == max(abs(b.mass - a.mass) for a, b in pairs)
         assert res.max_momentum_drift == max(
             abs(b.momentum - a.momentum) for a, b in pairs)
-        assert res.max_momentum_drift > 0.0
         assert res.max_reality_defect == max(defects) > 0.0
 
     def test_linear_regime_matches_volterra(self):
