@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, DomainError, InvariantError
+from .errors import DomainError, InvariantError
 
 # Fraction of the max amplitude tolerated at the lattice edge before a step
 # is declared aliased.
@@ -110,33 +110,18 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(grid=self.grid, data=self.data.copy(), time=self.time)
 
-    def _mirror(self) -> np.ndarray:
-        """data(-k, -eta) resampled onto the lattice.
-
-        Column 0 (eta = -eta_max) has no mirror sample and pairs with itself.
-        """
-        flipped = self.data[::-1, ::-1]
-        out = np.empty_like(self.data)
-        out[:, 1:] = flipped[:, :-1]
-        out[:, 0] = self.data[::-1, 0]
-        return out
-
     def reality_defect(self) -> float:
         """Max deviation from the reality symmetry, absolute."""
-        return float(np.max(np.abs(self.data - self._mirror())))
+        return float(np.max(np.abs(self.data - mirrored(self.data))))
 
     def enforce_reality(self) -> float:
         """Average the state with its mirror; error out on structural drift.
 
         Returns the reality defect measured before the averaging.
         """
-        mirror = self._mirror()
+        mirror = mirrored(self.data)
         defect = float(np.max(np.abs(self.data - mirror)))
-        scale = float(np.max(np.abs(self.data)))
-        if scale > 0 and defect > REALITY_DRIFT_LIMIT * scale:
-            raise InvariantError(
-                f"reality symmetry drift {defect:.3e} exceeds "
-                f"{REALITY_DRIFT_LIMIT:g} of the field scale {scale:.3e}")
+        check_reality_drift(defect, float(np.max(np.abs(self.data))))
         self.data = 0.5 * (self.data + mirror)
         return defect
 
@@ -145,15 +130,24 @@ class SpectralField:
         edges = np.concatenate([self.data[:, :2].ravel(), self.data[:, -2:].ravel()])
         return float(np.max(np.abs(edges)))
 
-    def check_boundary(self) -> float:
-        """Edge-to-peak amplitude ratio, 0.0 for a zero state; raises
-        AliasingError above the sentinel."""
-        scale = float(np.max(np.abs(self.data)))
-        if scale == 0.0:
-            return 0.0
-        edge = self.boundary_amplitude()
-        if edge > BOUNDARY_SENTINEL * scale:
-            raise AliasingError(
-                f"boundary amplitude {edge:.3e} exceeds {BOUNDARY_SENTINEL:g} "
-                f"of the field scale {scale:.3e}; enlarge eta_max")
-        return edge / scale
+
+def mirrored(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """data(-k, -eta) resampled onto the lattice, written into out when
+    given.
+
+    Column 0 (eta = -eta_max) has no mirror sample and pairs with itself.
+    """
+    if out is None:
+        out = np.empty_like(data)
+    out[:, 1:] = data[::-1, :0:-1]
+    out[:, 0] = data[::-1, 0]
+    return out
+
+
+def check_reality_drift(defect: float, scale: float) -> None:
+    """Raise InvariantError when a state's reality defect exceeds
+    REALITY_DRIFT_LIMIT of its scale, the max amplitude."""
+    if scale > 0 and defect > REALITY_DRIFT_LIMIT * scale:
+        raise InvariantError(
+            f"reality symmetry drift {defect:.3e} exceeds "
+            f"{REALITY_DRIFT_LIMIT:g} of the field scale {scale:.3e}")

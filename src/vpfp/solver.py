@@ -18,7 +18,7 @@ dt = d_eta composes five exact or Runge-Kutta sub-flows symmetrically:
     equilibrium-defect correction that makes Maxwellian-profile rows and
     the eta = 0 column exact.  The contracted points, their intervals and
     local coordinates, the growth row and the defect row depend only on
-    (grid, nu, dt) and form a cached OU plan; each substep computes only
+    (grid, nu, dt) and form an OU plan; each substep computes only
     the PCHIP slopes of its data, and only on the columns between the
     first and last nonzero ones, widened by the interpolant's reach of 3;
     every other point is +0.0.  The resampler repeats scipy's
@@ -31,12 +31,22 @@ dt = d_eta composes five exact or Runge-Kutta sub-flows symmetrically:
     eta stencil, so a stage applies its three moment convolutions to the
     state as one real stacked (3 n_k x n_k) product and takes the
     eta-derivative of one block only; the background and Maxwellian-profile
-    terms are rank-1 products with two cached rows.  The eta rows, kernel
-    rows and x-profile matrix these stages read depend only on the grid and
-    the kernel row and are cached read-only as well.  The linear coupling
+    terms are rank-1 products with two fixed rows.  The linear coupling
     reads only the eta = 0 column, which its own increment leaves
     unchanged up to the sign of a zero, so a linear substep evaluates it
     once for all four stages.
+
+The step is a function of the state and a per-run plan.  A Stepper for one
+(grid, nu, kernel row, mode) holds every array the step reads that depends
+only on those four (the OU plan, the eta rows, the kernel rows, the
+x-profile matrix and the convolution index, all read-only) and every
+lattice-sized buffer its stages write.  step takes its stepper from one
+cache, the only plan cache of the module.  compute_moments and
+conserved_quantities read the grid's nu = 0 free-mode stepper from the
+same cache, and ou_step builds the OU plan a stepper holds, so the
+closure, the RHS and the resampler each exist once.  Each buffered
+operation keeps the operands and the order of the allocating form, so the
+buffers change no byte of any result.
 
 Convolutions in k are exact direct sums over the truncated band.  The
 moment closure follows the density, momentum and second-moment columns of
@@ -63,7 +73,8 @@ from .errors import (
     InvariantError,
     StateEscapeError,
 )
-from .grids import PhaseGrid, SpectralField
+from .grids import (BOUNDARY_SENTINEL, PhaseGrid, SpectralField,
+                    check_reality_drift, mirrored)
 from .linear_theory import InteractionKernel, mu_hat
 
 # Positivity floor for the reconstructed temperature profile.  The density
@@ -80,70 +91,9 @@ _X_OVERSAMPLE = 4
 _MODES = ("full", "linear", "free")
 
 
-def conv_matrix(coeffs: np.ndarray) -> np.ndarray:
-    """Band-truncated convolution as a matrix acting on mode vectors.
-
-    coeffs is indexed like grid.k_values along its last axis; the (i, j)
-    entry is coeffs(k_i - k_j) when the difference stays inside the band,
-    else 0, so conv_matrix(a) @ b is the exact convolution truncated to the
-    band.  Leading axes of coeffs give a stack of matrices.
-    """
-    n = coeffs.shape[-1]
-    pad = np.zeros(coeffs.shape[:-1] + (2 * n - 1,), dtype=coeffs.dtype)
-    pad[..., n - 1 - (n // 2): n - 1 - (n // 2) + n] = coeffs
-    return pad[..., _conv_index(n)]
-
-
-@functools.lru_cache(maxsize=16)
-def _conv_index(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return _read_only((idx[:, None] - idx[None, :]) + n - 1)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class _StepPlan:
-    """What the coupling RHS and the moment closure need that depends only
-    on the grid: eta rows of shape (1, n_eta), the two Maxwellian-profile
-    rows of the rank-1 RHS terms, and the matrix taking band coefficients
-    to their real spatial profile sum_k c(k) e^(i k x) on an oversampled
-    uniform x grid."""
-
-    eta: np.ndarray        # eta
-    neg_eta2: np.ndarray   # -(eta^2)
-    eta_mu: np.ndarray     # eta mu_hat(eta), one-dimensional
-    eta2_mu: np.ndarray    # eta^2 mu_hat(eta), one-dimensional
-    x_modes: np.ndarray    # e^(i k x), shape (n_x, n_k)
-
-
-@functools.lru_cache(maxsize=16)
-def _step_plan(grid: PhaseGrid) -> _StepPlan:
-    eta = grid.eta
-    n_x = _X_OVERSAMPLE * grid.n_k
-    x = 2.0 * np.pi * np.arange(n_x) / n_x
-    row = eta[None, :]
-    mu = mu_hat(eta)
-    return _StepPlan(*(_read_only(a) for a in (
-        row, -(row ** 2), eta * mu, eta ** 2 * mu,
-        np.exp(1j * np.outer(x, grid.k_values)))))
-
-
-def _force_rows(grid: PhaseGrid, w: InteractionKernel) -> tuple[np.ndarray, np.ndarray]:
-    """-1j k w(k) and (k w(k))^2 on each lattice row (the k = 0 row carries
-    no force), cached on the grid and the kernel's row values."""
-    return _force_rows_of(grid, tuple(
-        w(k) if k != 0 else 0.0 for k in range(-grid.k_max, grid.k_max + 1)))
-
-
-@functools.lru_cache(maxsize=16)
-def _force_rows_of(grid: PhaseGrid, w_row: tuple) -> tuple[np.ndarray, np.ndarray]:
-    kf = grid.k_values.astype(float)
-    wk = np.array(w_row)
-    return _read_only(-1j * kf * wk), _read_only((kf * wk) ** 2)
 
 
 @dataclass
@@ -172,14 +122,23 @@ def _eta_stencils(d: np.ndarray, g: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     """Fourth-order first and second eta-derivatives at eta = 0 of data
     whose last axis is the grid's eta.  Both multiply by the reciprocal of
     the stencil's denominator; a division rounds differently and moves the
-    campaign outputs at rounding level."""
+    campaign outputs at rounding level.
+
+    A lattice has few rows, so each row's five columns go through Python
+    floats: the same IEEE operations in the same order as the array form,
+    without numpy's per-call cost on n_k-long columns."""
     j = g.i_zero
     h = g.d_eta
-    d1 = (d[..., j - 2] - 8.0 * d[..., j - 1] + 8.0 * d[..., j + 1]
-          - d[..., j + 2]) * (1.0 / (12.0 * h))
-    d2 = (-d[..., j - 2] + 16.0 * d[..., j - 1] - 30.0 * d[..., j]
-          + 16.0 * d[..., j + 1] - d[..., j + 2]) * (1.0 / (12.0 * h * h))
-    return d1, d2
+    r1 = 1.0 / (12.0 * h)
+    r2 = 1.0 / (12.0 * h * h)
+    cols = d[..., j - 2:j + 3]
+    rows = cols.tolist() if cols.ndim == 2 else [cols.tolist()]
+    d1 = [(a - 8.0 * b + 8.0 * e - f) * r1 for a, b, _, e, f in rows]
+    d2 = [(-a + 16.0 * b - 30.0 * c + 16.0 * e - f) * r2
+          for a, b, c, e, f in rows]
+    if cols.ndim == 1:
+        return np.float64(d1[0]), np.float64(d2[0])
+    return np.array(d1), np.array(d2)
 
 
 def _closure_solve(closure: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,7 +159,8 @@ def _closure_solve(closure: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
-    """Hydrodynamic readouts with regime guards.
+    """Hydrodynamic readouts with regime guards, by the closure every RK4
+    stage of the step runs (Stepper.closure).
 
     Raises:
         StateEscapeError: when sup_x |rho(x)| >= CLOSURE_SUP_BOUND, past
@@ -210,31 +170,8 @@ def compute_moments(field: SpectralField, w: InteractionKernel) -> HydroMoments:
             temperature profile is not above POSITIVITY_FLOOR (a NaN
             temperature, as a singular closure gives, included).
     """
-    g = field.grid
-    x_modes = _step_plan(g).x_modes
-    d1, d2 = _eta_stencils(field.data, g)
-    rho = field.data[:, g.i_zero].copy()
-    m1 = 1j * d1
-    m2 = -d2
-    rho_x = (x_modes @ rho).real
-    sup_rho = float(np.max(np.abs(rho_x)))
-    if not sup_rho < CLOSURE_SUP_BOUND:
-        raise StateEscapeError(
-            f"density profile reached sup {sup_rho:.3g}, not below "
-            f"{CLOSURE_SUP_BOUND}; the moment closure is no longer perturbative")
-    closure = np.eye(g.n_k) + conv_matrix(rho)
-    u = _closure_solve(closure, m1)
-    m_t = m2 - conv_matrix(m1) @ u
-    temp = _closure_solve(closure, m_t)
-    temp_x = (x_modes @ temp).real
-    temp_min = float(np.min(1.0 + temp_x))
-    if not temp_min > POSITIVITY_FLOOR:
-        raise StateEscapeError(
-            f"temperature profile 1 + T reached min {temp_min:.3g}, not above "
-            f"the positivity floor {POSITIVITY_FLOOR}")
-    e_field = _force_rows(g, w)[0] * rho
-    return HydroMoments(rho=rho, m1=m1, m2=m2, u=u, m_t=m_t, T=temp,
-                        e_field=e_field, sup_rho=sup_rho)
+    rho, *rest = _stepper(field.grid, w).closure(field.data)
+    return HydroMoments(rho.copy(), *rest)
 
 
 @dataclass(frozen=True)
@@ -258,7 +195,8 @@ def conserved_quantities(field: SpectralField, w: InteractionKernel) -> Conserve
     momentum = 2.0 * math.pi * float((1j * d1[i0]).real)
     kinetic = math.pi * (1.0 + float(-d2[i0]))
     rho = field.data[:, g.i_zero]
-    field_e = math.pi * float(np.sum(_force_rows(g, w)[1] * np.abs(rho) ** 2))
+    field_e = math.pi * float(np.sum(_stepper(g, w).energy_row
+                                     * np.abs(rho) ** 2))
     return ConservedQuantities(mass=mass, momentum=momentum,
                                kinetic_energy=kinetic, field_energy=field_e)
 
@@ -346,6 +284,9 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
         f.data[grid.k_index(-mo.k)] += mo.amp * np.exp(
             -(eta + mo.center) ** 2 / (2 * mo.width ** 2))
     f.data *= data.eps
+    # column 0 has no mirror sample, so an edge that has not decayed shows
+    # as a reality defect; it is tested first and named for what it is
+    _check_init_edge(f)
     defect = f.reality_defect()
     if defect > 1e-10 * max(float(np.max(np.abs(f.data))), 1e-300):
         raise InvariantError(f"raw datum breaks reality symmetry by {defect:.3e}")
@@ -359,43 +300,50 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
     f.data[i0k] += c2 * q_prof
     report = {"energy_shift": c2}
     f.enforce_reality()
-    scale_now = float(np.max(np.abs(f.data)))
-    if scale_now > 0 and f.boundary_amplitude() > 1e-12 * scale_now:
-        raise AliasingError("initial datum is not below 1e-12 of its peak at "
-                            "the window edge; enlarge eta_max")
+    _check_init_edge(f)
     report["eps"] = data.eps
     return f, report
+
+
+def _check_init_edge(f: SpectralField) -> None:
+    scale = float(np.max(np.abs(f.data)))
+    if scale > 0 and f.boundary_amplitude() > 1e-12 * scale:
+        raise AliasingError("initial datum is not below 1e-12 of its peak at "
+                            "the window edge; enlarge eta_max")
 
 
 def transport_step(field: SpectralField) -> None:
     """Exact shear transport h(k, eta) <- h(k, eta + k dt) as column shifts.
 
-    Row k shifts by k columns; one call per time step.  Raises AliasingError
-    when the amplitude falling off the window is significant.
+    Row k shifts by k columns into a new array, which replaces the field's
+    data; one call per time step.  Raises AliasingError, with the field
+    left as it was, when the amplitude falling off the window is
+    significant.
     """
     g = field.grid
     n = g.n_eta
-    norm = math.sqrt(float(np.sum(np.abs(field.data) ** 2)))
+    d = field.data
+    sq = d * d
+    norm = math.sqrt(float(sq.sum()))
+    out = np.empty_like(d)
     dropped_sq = 0.0
-    for k in g.k_values:
-        if k == 0:
-            continue
-        i = g.k_index(int(k))
-        shift = int(k)
-        row = field.data[i]
-        if shift > 0:
-            dropped_sq += float(np.sum(np.abs(row[:shift]) ** 2))
-            row[:n - shift] = row[shift:].copy()
-            row[n - shift:] = 0.0
+    for i, k in enumerate(range(-g.k_max, g.k_max + 1)):
+        row = d[i]
+        if k > 0:
+            dropped_sq += float(sq[i, :k].sum())
+            out[i, :n - k] = row[k:]
+            out[i, n - k:] = 0.0
+        elif k < 0:
+            dropped_sq += float(sq[i, n + k:].sum())
+            out[i, -k:] = row[:n + k]
+            out[i, :-k] = 0.0
         else:
-            s = -shift
-            dropped_sq += float(np.sum(np.abs(row[n - s:]) ** 2))
-            row[s:] = row[:n - s].copy()
-            row[:s] = 0.0
+            out[i] = row
     if norm > 0 and math.sqrt(dropped_sq) > 1e-12 * norm:
         raise AliasingError(
             f"transport dropped amplitude {math.sqrt(dropped_sq):.3e} "
             f"({math.sqrt(dropped_sq) / norm:.2e} of the state); enlarge eta_max")
+    field.data = out
 
 
 # Rows are resampled in blocks of at most this many values.  A block's
@@ -405,12 +353,28 @@ def transport_step(field: SpectralField) -> None:
 _BLOCK_VALUES = 1 << 14
 
 
-def _edge_slope(h0, h1, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """Moler's one-sided three-point end slope, limited to keep the shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    flip = np.sign(d) != np.sign(m0)
-    over = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3. * np.abs(m0))
-    return np.where(flip, 0.0, np.where(over, 3. * m0, d))
+def _sign(x: float) -> float:
+    """numpy.sign of a float, NaN for NaN."""
+    return (x > 0) - (x < 0) if x == x else math.nan
+
+
+def _edge_slopes(h0: float, h1: float, m0: np.ndarray,
+                 m1: np.ndarray) -> list[float]:
+    """Moler's one-sided three-point end slope of each row, limited to keep
+    the shape.  A block has few rows, so each row goes through Python
+    floats: scipy's IEEE operations in scipy's order, without numpy's
+    per-call cost on columns a few values long."""
+    out = []
+    for a, b in zip(m0.tolist(), m1.tolist()):
+        d = ((2 * h0 + h1) * a - h0 * b) / (h0 + h1)
+        s = _sign(a)
+        if _sign(d) != s:
+            out.append(0.0)
+        elif s != _sign(b) and abs(d) > 3. * abs(a):
+            out.append(3. * a)
+        else:
+            out.append(d)
+    return out
 
 
 @dataclass(frozen=True)
@@ -445,79 +409,115 @@ class _ContractedPchip:
         return cls(*(_read_only(a) for a in
                      (idx, s, s2, s2 * s, h, w1, w2, w1 + w2)))
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Values at xi of the PCHIP interpolants of the rows of y.
+    def __call__(self, y: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """Values at xi of the PCHIP interpolants of the rows of y, as a new
+        array; work, when given, is a (5, y.size) scratch block for the
+        slopes and the power sum.
 
         A value on interval idx reads y only at idx - 1 ... idx + 2, and
         where those are all zero the power sum's 0.0 seed makes it +0.0.  So
-        only the columns from the first to the last nonzero one are
-        resampled, widened by 3 on each side, with the plan sliced to match;
-        every other point gets +0.0.  A window end node reads only zeros, so
-        its one-sided slope is zero like its full one.
+        only the columns a ... b - 1 from the first to the last nonzero one
+        are resampled, widened by 3 on each side, onto the points p0 ... p1
+        - 1 on intervals a ... b - 2; every other point gets +0.0.  A window
+        end node reads only zeros, so its one-sided slope is zero like its
+        full one.
         """
-        out = np.zeros((y.shape[0], self.idx.shape[0]))
+        m, n = y.shape
+        n_xi = self.idx.shape[0]
         cols = np.flatnonzero(y.any(axis=0))
         if cols.size == 0:
-            return out
-        m, n = y.shape
+            return np.zeros((m, n_xi))
         a, b = max(cols[0] - 3, 0), min(cols[-1] + 4, n)
-        # the points on intervals a ... b - 2
-        p0, p1 = np.searchsorted(self.idx, (a, b - 1))
-        window = _ContractedPchip(
-            self.idx[p0:p1] - a, self.s[p0:p1], self.s2[p0:p1],
-            self.s3[p0:p1], self.h[a:b - 1], self.w1[a:b - 2],
-            self.w2[a:b - 2], self.w12[a:b - 2])
+        p0, p1 = self.idx.searchsorted((a, b - 1))
         y = y[:, a:b]
-        part = out[:, p0:p1]
+        i = self.idx[p0:p1] - a
         n_blocks = -(-m * (b - a) // _BLOCK_VALUES)
         block = -(-m // n_blocks)
+        if work is None:
+            work = np.empty((5, block * n))
+        out = (np.empty if p1 - p0 == n_xi else np.zeros)((m, n_xi))
         for r in range(0, m, block):
-            part[r:r + block] = window._rows(y[r:r + block])
+            out[r:r + block, p0:p1] = self._rows(y[r:r + block], a, b, p0, p1,
+                                                 i, work)
         return out
 
-    def _rows(self, y: np.ndarray) -> np.ndarray:
-        h = self.h
-        mk = (y[:, 1:] - y[:, :-1]) / h
-        smk = np.sign(mk)
+    def _rows(self, y: np.ndarray, a, b, p0, p1, i: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
+        """The window's values, as a view of work: y holds columns a ... b -
+        1, and i is the interval of each point p0 ... p1 - 1, counted from
+        a.  Each of work's rows holds one array at a time."""
+        m, w = y.shape
+
+        def buf(row: int, cols: int) -> np.ndarray:
+            return work[row, :m * cols].reshape(m, cols)
+
+        h = self.h[a:b - 1]
+        mk = np.subtract(y[:, 1:], y[:, :-1], out=buf(0, w - 1))
+        mk /= h
+        smk = np.sign(mk, out=buf(1, w - 1))
         # a node takes the harmonic mean only between two slopes of one
         # strict sign; a sign change or a zero slope on either side gives 0
-        monotone = smk[:, 1:] * smk[:, :-1] > 0
+        monotone = np.multiply(smk[:, 1:], smk[:, :-1], out=buf(2, w - 2)) > 0
         # flat stretches (underflowed tails) make the harmonic mean overflow
         # harmlessly; those nodes are not monotone and take 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inner = 1.0 / ((self.w1 / mk[:, :-1] + self.w2 / mk[:, 1:]) / self.w12)
-        dk = np.empty_like(y)
-        dk[:, 1:-1] = np.where(monotone, inner, 0.0)
-        dk[:, 0] = _edge_slope(h[0], h[1], mk[:, 0], mk[:, 1])
-        dk[:, -1] = _edge_slope(h[-1], h[-2], mk[:, -1], mk[:, -2])
+            inner = np.divide(self.w1[a:b - 2], mk[:, :-1], out=buf(1, w - 2))
+            inner += np.divide(self.w2[a:b - 2], mk[:, 1:], out=buf(2, w - 2))
+            inner /= self.w12[a:b - 2]
+            np.divide(1.0, inner, out=inner)
+        dk = buf(3, w)
+        dk[:, 1:-1] = 0.0
+        np.copyto(dk[:, 1:-1], inner, where=monotone)
+        h0, h1, h_1, h_2 = h[[0, 1, -1, -2]].tolist()
+        dk[:, 0] = _edge_slopes(h0, h1, mk[:, 0], mk[:, 1])
+        dk[:, -1] = _edge_slopes(h_1, h_2, mk[:, -1], mk[:, -2])
         # cubic Hermite coefficients per interval, highest power first
-        t = (dk[:, :-1] + dk[:, 1:] - 2 * mk) / h
-        c0 = t / h
-        c1 = (mk - dk[:, :-1]) / h - t
-        i = self.idx
-        # the leading 0.0 + is the power sum's seed; it turns -0.0 into 0.0
-        return (0.0 + np.take(y, i, axis=1) + np.take(dk, i, axis=1) * self.s
-                + np.take(c1, i, axis=1) * self.s2
-                + np.take(c0, i, axis=1) * self.s3)
+        t = np.add(dk[:, :-1], dk[:, 1:], out=buf(1, w - 1))
+        t -= np.multiply(2, mk, out=buf(2, w - 1))
+        t /= h
+        c0 = np.divide(t, h, out=buf(2, w - 1))
+        c1 = np.subtract(mk, dk[:, :-1], out=buf(4, w - 1))
+        c1 /= h
+        c1 -= t
+        # the leading 0.0 + is the power sum's seed; it turns -0.0 into 0.0;
+        # the indices are in range, and "clip" takes into out unbuffered
+        out = y.take(i, axis=1, out=buf(0, p1 - p0), mode="clip")
+        np.add(0.0, out, out=out)
+        term = buf(1, p1 - p0)
+        for c, s in ((dk, self.s), (c1, self.s2), (c0, self.s3)):
+            out += np.multiply(c.take(i, axis=1, out=term, mode="clip"),
+                               s[p0:p1], out=term)
+        return out
 
 
 @dataclass(frozen=True)
 class _OUPlan:
-    """What ou_step needs that depends only on (grid, nu, dt)."""
+    """The drift-diffusion flow over one (grid, nu, dt): the resampler onto
+    xi = e^(-nu dt) eta, the growth row and the equilibrium-defect row."""
 
-    resample: _ContractedPchip   # onto xi = e^(-nu dt) eta
+    resample: _ContractedPchip
     growth: np.ndarray           # exp(expm1(-2 nu dt) eta^2 / 2)
     defect: np.ndarray           # mu - P_mu(xi) * growth
+    i_zero: int
 
+    @classmethod
+    def build(cls, grid: PhaseGrid, nu: float, dt: float) -> "_OUPlan":
+        eta = grid.eta
+        resample = _ContractedPchip.build(eta, math.exp(-nu * dt) * eta)
+        growth = np.exp(0.5 * np.expm1(-2.0 * nu * dt) * eta ** 2)
+        mu = mu_hat(eta)
+        defect = mu - resample(mu[None, :])[0] * growth
+        return cls(resample, _read_only(growth), _read_only(defect),
+                   grid.i_zero)
 
-@functools.lru_cache(maxsize=16)
-def _ou_plan(grid: PhaseGrid, nu: float, dt: float) -> _OUPlan:
-    eta = grid.eta
-    resample = _ContractedPchip.build(eta, math.exp(-nu * dt) * eta)
-    growth = np.exp(0.5 * np.expm1(-2.0 * nu * dt) * eta ** 2)
-    mu = mu_hat(eta)
-    defect = mu - resample(mu[None, :])[0] * growth
-    return _OUPlan(resample, _read_only(growth), _read_only(defect))
+    def __call__(self, y: np.ndarray, scratch: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> np.ndarray:
+        """resample(y) * growth + y(k, 0) * defect as a new array; scratch,
+        when given, holds the defect term, and work the resampler's."""
+        out = self.resample(y, work)
+        out *= self.growth
+        out += np.multiply(y[:, self.i_zero, None], self.defect, out=scratch)
+        return out
 
 
 def ou_step(field: SpectralField, nu: float, dt: float) -> None:
@@ -533,8 +533,8 @@ def ou_step(field: SpectralField, nu: float, dt: float) -> None:
     profile exact.
 
     The contracted points, their intervals and local coordinates, the growth
-    row G and the defect row are an OU plan, built on the first call for a
-    (grid, nu, dt) and cached; a call only computes the PCHIP slopes of the
+    row G and the defect row form an OU plan, built on each call; the step
+    keeps its own in its stepper and computes only the PCHIP slopes of the
     state's rows.  The result is bit-identical to evaluating scipy's
     PchipInterpolator(eta, field.data, axis=1) at the contracted points.
     """
@@ -542,78 +542,7 @@ def ou_step(field: SpectralField, nu: float, dt: float) -> None:
         raise DomainError("time step must be nonnegative")
     if dt == 0.0 or nu == 0.0:
         return
-    g = field.grid
-    plan = _ou_plan(g, nu, dt)
-    field.data = (plan.resample(field.data) * plan.growth
-                  + field.data[:, g.i_zero][:, None] * plan.defect[None, :])
-
-
-def _rhs_full(field: SpectralField, m: HydroMoments,
-              nu: float) -> np.ndarray:
-    """Force plus collisional moment feedback,
-
-        i eta (A h) - eta^2 (B h) - eta D (C h)
-            - (e + nu m1) (i eta mu) - nu m_t (eta^2 mu)
-
-    with A = conv(-e - nu m1), B = conv(nu (rho + m_t)), C = conv(nu rho)
-    and D the 4th-order centered eta-derivative, zero at the two edge
-    columns on each side.  The three convolutions are one stacked product,
-    with i folded into A and D's 1 / (12 d_eta) into C so that the A and C
-    blocks share their eta factor.  The last two terms are the background
-    row under the force and the Maxwellian profile of the moment feedback.
-    On a real state e + nu m1 is purely imaginary and m_t real, so the
-    coefficient rows and every term are real.
-    """
-    g = field.grid
-    p = _step_plan(g)
-    n = g.n_k
-    feed = m.e_field + nu * m.m1
-    coeffs = np.stack((-1j * feed, nu * (m.rho + m.m_t),
-                       nu / (12.0 * g.d_eta) * m.rho)).real
-    a_h, b_h, c_h = (conv_matrix(coeffs).reshape(3 * n, n)
-                     @ field.data).reshape(3, n, -1)
-    a_h[:, 2:-2] -= (c_h[:, :-4] - c_h[:, 4:]) - 8.0 * (c_h[:, 1:-3] - c_h[:, 3:-1])
-    out = p.eta * a_h
-    out += p.neg_eta2 * b_h
-    out += np.outer(feed.imag, p.eta_mu)
-    out -= np.outer(nu * m.m_t.real, p.eta2_mu)
-    return out
-
-
-def _rhs_linear(field: SpectralField, w: InteractionKernel) -> np.ndarray:
-    g = field.grid
-    e = _force_rows(g, w)[0] * field.data[:, g.i_zero]
-    return np.outer(e.imag, _step_plan(g).eta_mu)
-
-
-def _rk4_substep(field: SpectralField, nu: float, w: InteractionKernel,
-                 mode: str, dt: float) -> None:
-    """Classical RK4 on the coupling terms.
-
-    The linear RHS reads only the eta = 0 column, where eta mu is zero, so
-    the four stages see that column unchanged and one evaluation serves all
-    of them; the stage sum keeps its order, so the bytes are RK4's.  The one
-    exception is a row whose eta = 0 entry is -0.0: a stage may see +0.0
-    there, and some zeros of the result then differ from RK4's in sign,
-    never in value.
-    """
-    if mode == "free":
-        return
-    y = field.data
-    if mode == "linear":
-        k1 = _rhs_linear(field, w)
-        field.data = y + dt / 6.0 * (k1 + 2.0 * k1 + 2.0 * k1 + k1)
-        return
-
-    def f_of(data: np.ndarray) -> np.ndarray:
-        probe = SpectralField(grid=field.grid, data=data, time=field.time)
-        return _rhs_full(probe, compute_moments(probe, w), nu)
-
-    k1 = f_of(y)
-    k2 = f_of(y + 0.5 * dt * k1)
-    k3 = f_of(y + 0.5 * dt * k2)
-    k4 = f_of(y + dt * k3)
-    field.data = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    field.data = _OUPlan.build(field.grid, nu, dt)(field.data)
 
 
 @dataclass
@@ -625,12 +554,287 @@ class StepDiagnostics:
     boundary_ratio: float
 
 
+class Stepper:
+    """The time step for one (grid, nu, kernel row, mode), with its plan and
+    its buffers.
+
+    The plan is every array the step reads that depends only on those four:
+    the eta rows of the coupling RHS and the two Maxwellian-profile rows of
+    its rank-1 terms, the kernel's force and energy rows, the matrix taking
+    band coefficients to their real spatial profile on an oversampled x
+    grid, the convolution index and the OU plan of a half step.  Every plan
+    array is read-only.  The buffers hold the RK4 stages, the stacked
+    coupling product, the OU resampler's slopes and power sum and the
+    guards' scratch.  No buffer carries anything
+    from one call to the next, so fields that share a stepper give the
+    bytes each gives alone; one stepper serves one thread at a time.
+
+    Each operation keeps the operands and the order of the formulas in the
+    docstrings, and a ufunc writing into a buffer rounds as one writing a
+    new array, so the buffers change no byte of the result.
+    """
+
+    def __init__(self, grid: PhaseGrid, w_row: tuple, nu: float, mode: str):
+        self.grid, self.nu, self.mode = grid, nu, mode
+        n, n_eta = grid.n_k, grid.n_eta
+        eta = grid.eta
+        mu = mu_hat(eta)
+        n_x = _X_OVERSAMPLE * n
+        x = 2.0 * np.pi * np.arange(n_x) / n_x
+        kf = grid.k_values.astype(float)
+        wk = np.array(w_row)
+        idx = np.arange(n)
+        self.half_dt = 0.5 * grid.dt
+        self.i_zero = grid.i_zero
+        # the stencil of C = conv(nu rho) carries D's 1 / (12 d_eta)
+        self.c_scale = nu / (12.0 * grid.d_eta)
+        self.eta = _read_only(eta[None, :])
+        self.neg_eta2 = _read_only(-(self.eta ** 2))
+        self.eta_mu = _read_only(eta * mu)
+        self.eta2_mu = _read_only(eta ** 2 * mu)
+        self.x_modes = _read_only(np.exp(1j * np.outer(x, grid.k_values)))
+        self.force_row = _read_only(-1j * kf * wk)    # the k = 0 row carries no force
+        self.energy_row = _read_only((kf * wk) ** 2)
+        self.eye = _read_only(np.eye(n))
+        self.conv_index = _read_only((idx[:, None] - idx[None, :]) + n - 1)
+        self.band = slice(n // 2, n // 2 + n)
+        self.ou = _OUPlan.build(grid, nu, self.half_dt) if nu > 0 else None
+        # zero-bordered coefficient rows the convolution matrices gather from
+        self._pad_rho = np.zeros(2 * n - 1)
+        self._pad_m1 = np.zeros(2 * n - 1, dtype=complex)
+        shape = (n, n_eta)
+        # two scratch blocks for the guards, the OU defect term and the
+        # RHS's stencil and rank-1 terms
+        self._tmp, self._aux = np.empty((2,) + shape)
+        # the OU resampler's five rows and the RK4 stages (three, and the
+        # stacked product's three in full mode) never run at once, so they
+        # share one work block
+        n_work = max(5 if nu > 0 else 0, {"full": 6, "linear": 3}.get(mode, 0))
+        work = np.empty((n_work,) + shape)
+        if self.ou is not None:
+            self._ou_work = work[:5].reshape(5, n * n_eta)
+        if mode != "free":
+            self._acc, self._k, self._stage = work[:3]
+        if mode == "full":
+            # the RHS's three coefficient rows, the flat index of their
+            # stacked (3 n_k x n_k) convolution matrix and the product's
+            # blocks
+            self._pad_rhs = np.zeros((3, 2 * n - 1))
+            self._rhs_rows = tuple(self._pad_rhs[:, self.band])
+            self._rhs_index = _read_only(
+                (np.arange(3)[:, None, None] * (2 * n - 1)
+                 + self.conv_index).reshape(3 * n, n))
+            self._prod = work[3:6].reshape(3 * n, n_eta)
+            self._blocks = tuple(work[3:6])
+
+    def conv(self, pad: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Band-truncated convolution as a matrix acting on mode vectors.
+
+        coeffs is indexed like grid.k_values; the (i, j) entry is
+        coeffs(k_i - k_j) when the difference stays inside the band, else
+        0, so conv(pad, a) @ b is the exact convolution truncated to the
+        band.  pad is a zero-bordered row of length 2 n_k - 1 and coeffs'
+        dtype, written in its middle.
+        """
+        pad[self.band] = coeffs
+        return pad[self.conv_index]
+
+    def closure(self, y: np.ndarray) -> tuple:
+        """(rho, m1, m2, u, m_t, T, e_field, sup_rho) of the state y, in the
+        order and with the meaning of HydroMoments' fields; rho is a view of
+        y's eta = 0 column.  Raises compute_moments' StateEscapeErrors."""
+        d1, d2 = _eta_stencils(y, self.grid)
+        rho = y[:, self.i_zero]
+        m1 = 1j * d1
+        m2 = -d2
+        rho_x = (self.x_modes @ rho).real
+        sup_rho = float(np.abs(rho_x).max())
+        if not sup_rho < CLOSURE_SUP_BOUND:
+            raise StateEscapeError(
+                f"density profile reached sup {sup_rho:.3g}, not below "
+                f"{CLOSURE_SUP_BOUND}; the moment closure is no longer perturbative")
+        closure = self.eye + self.conv(self._pad_rho, rho)
+        u = _closure_solve(closure, m1)
+        m_t = m2 - self.conv(self._pad_m1, m1) @ u
+        temp = _closure_solve(closure, m_t)
+        temp_x = (self.x_modes @ temp).real
+        temp_min = float((1.0 + temp_x).min())
+        if not temp_min > POSITIVITY_FLOOR:
+            raise StateEscapeError(
+                f"temperature profile 1 + T reached min {temp_min:.3g}, not above "
+                f"the positivity floor {POSITIVITY_FLOOR}")
+        return rho, m1, m2, u, m_t, temp, self.force_row * rho, sup_rho
+
+    def rhs_full(self, y: np.ndarray, rho: np.ndarray, m1: np.ndarray,
+                 m_t: np.ndarray, e_field: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Force plus collisional moment feedback,
+
+            i eta (A h) - eta^2 (B h) - eta D (C h)
+                - (e + nu m1) (i eta mu) - nu m_t (eta^2 mu)
+
+        with A = conv(-e - nu m1), B = conv(nu (rho + m_t)), C = conv(nu rho)
+        and D the 4th-order centered eta-derivative, zero at the two edge
+        columns on each side.  The three convolutions are one stacked
+        product, with i folded into A and D's 1 / (12 d_eta) into C so that
+        the A and C blocks share their eta factor.  The last two terms are
+        the background row under the force and the Maxwellian profile of the
+        moment feedback.  On a real state e + nu m1 is purely imaginary and
+        m_t real, so the coefficient rows and every term are real.
+        """
+        nu = self.nu
+        feed = e_field + nu * m1
+        r_a, r_b, r_c = self._rhs_rows
+        r_a[...] = (-1j * feed).real
+        r_b[...] = (nu * (rho + m_t)).real
+        np.multiply(self.c_scale, rho, out=r_c)
+        np.matmul(self._pad_rhs.take(self._rhs_index), y, out=self._prod)
+        a_h, b_h, c_h = self._blocks
+        # a_h[:, 2:-2] -= (c_h[:, :-4] - c_h[:, 4:])
+        #                 - 8 (c_h[:, 1:-3] - c_h[:, 3:-1])
+        edge = np.subtract(c_h[:, :-4], c_h[:, 4:], out=self._tmp[:, :-4])
+        inner = np.subtract(c_h[:, 1:-3], c_h[:, 3:-1], out=self._aux[:, :-4])
+        inner *= 8.0
+        edge -= inner
+        a_h[:, 2:-2] -= edge
+        out = np.multiply(self.eta, a_h, out=out)
+        b_h *= self.neg_eta2
+        out += b_h
+        # the rank-1 terms feed.imag x eta mu and nu m_t.real x eta^2 mu
+        out += np.multiply(feed.imag[:, None], self.eta_mu, out=self._tmp)
+        out -= np.multiply((nu * m_t.real)[:, None], self.eta2_mu, out=self._tmp)
+        return out
+
+    def rhs_linear(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The linear coupling -e (i eta mu), e = -i k w(k) rho(k): it reads
+        only the eta = 0 column."""
+        e = self.force_row * y[:, self.i_zero]
+        return np.multiply(e.imag[:, None], self.eta_mu, out=out)
+
+    def rk4_substep(self, y: np.ndarray) -> np.ndarray:
+        """Classical RK4 on the coupling terms over half a time step,
+
+            y + dt/6 (k1 + 2 k2 + 2 k3 + k4),
+
+        as a new array; y itself in free mode.  The sum is accumulated stage
+        by stage in that order.
+
+        The linear RHS reads only the eta = 0 column, where eta mu is zero,
+        so the four stages see that column unchanged and one evaluation
+        serves all of them; the stage sum keeps its order, so the bytes are
+        RK4's.  The one exception is a row whose eta = 0 entry is -0.0: a
+        stage may see +0.0 there, and some zeros of the result then differ
+        from RK4's in sign, never in value.
+        """
+        if self.mode == "free":
+            return y
+        dt = self.half_dt
+        acc, k, stage = self._acc, self._k, self._stage
+        if self.mode == "linear":
+            k1 = self.rhs_linear(y, k)
+            two = np.multiply(k1, 2.0, out=stage)
+            np.add(k1, two, out=acc)
+            acc += two
+            acc += k1
+        else:
+            self._stage_rhs(y, acc)                        # k1
+            np.multiply(acc, 0.5 * dt, out=stage)
+            stage += y
+            self._stage_rhs(stage, k)                      # k2
+            np.multiply(k, 0.5 * dt, out=stage)
+            stage += y
+            k *= 2.0
+            acc += k
+            self._stage_rhs(stage, k)                      # k3
+            np.multiply(k, dt, out=stage)
+            stage += y
+            k *= 2.0
+            acc += k
+            self._stage_rhs(stage, k)                      # k4
+            acc += k
+        acc *= dt / 6.0
+        return y + acc
+
+    def _stage_rhs(self, y: np.ndarray, out: np.ndarray) -> None:
+        rho, m1, _, _, m_t, _, e_field, _ = self.closure(y)
+        self.rhs_full(y, rho, m1, m_t, e_field, out)
+
+    def advance(self, field: SpectralField) -> StepDiagnostics:
+        """One time step of the field; see step.
+
+        Every substep writes a new array or a buffer, never the field's
+        data, which is replaced, with the time, only after every guard has
+        passed: a step that raises leaves the field as it was, and an array
+        the field held before keeps its bytes.
+        """
+        y = field.data
+        if self.ou is not None:
+            y = self.ou(y, self._tmp, self._ou_work)
+        y = self.rk4_substep(y)
+        streamed = SpectralField(grid=self.grid, data=y)
+        transport_step(streamed)
+        y = self.rk4_substep(streamed.data)
+        if self.ou is not None:
+            y = self.ou(y, self._tmp, self._ou_work)
+        defect, edge_ratio = self._symmetrize(y)
+        field.data = y
+        field.time += self.grid.dt
+        return StepDiagnostics(reality_defect=defect, boundary_ratio=edge_ratio)
+
+    def _symmetrize(self, y: np.ndarray) -> tuple[float, float]:
+        """The step's guards on the new state y, which is averaged in place
+        with its mirror: the non-finite check, the reality drift measured
+        before the averaging and the edge sentinel after it.  Returns the
+        reality defect and the edge-to-peak ratio (0.0 for a zero state)."""
+        mag = np.abs(y, out=self._tmp)
+        # NaN and inf both fail it
+        scale = float(mag.max())
+        if not scale < math.inf:
+            raise StateEscapeError("state left the representable range (non-finite "
+                                   "amplitudes); the run has blown up")
+        mirror = mirrored(y, out=self._aux)
+        defect = float(np.abs(np.subtract(y, mirror, out=mag), out=mag).max())
+        check_reality_drift(defect, scale)
+        y += mirror
+        y *= 0.5
+        mag = np.abs(y, out=self._tmp)
+        scale = float(mag.max())
+        if scale == 0.0:
+            return defect, 0.0
+        edge = max(float(mag[:, :2].max()), float(mag[:, -2:].max()))
+        if edge > BOUNDARY_SENTINEL * scale:
+            raise AliasingError(
+                f"boundary amplitude {edge:.3e} exceeds {BOUNDARY_SENTINEL:g} "
+                f"of the field scale {scale:.3e}; enlarge eta_max")
+        return defect, edge / scale
+
+
+# The one plan cache: a stepper per (grid, kernel row, nu, mode).  A march
+# uses two at once, its own and the readouts'; four keep a campaign's next
+# cell from rebuilding them, while the buffers of its finished cells (echo
+# marches five nu cells in turn) are let go.
+_cached_stepper = functools.lru_cache(maxsize=4)(Stepper)
+
+
+def _stepper(grid: PhaseGrid, w: InteractionKernel, nu: float = 0.0,
+             mode: str = "free") -> Stepper:
+    """The cached stepper, keyed on the whole grid, the kernel's row values,
+    nu and mode.  The readouts, which depend on the grid and the kernel
+    only, use the nu = 0 free-mode stepper, which holds no OU plan and no
+    RK4 buffers."""
+    w_row = tuple(w(k) if k != 0 else 0.0
+                  for k in range(-grid.k_max, grid.k_max + 1))
+    return _cached_stepper(grid, w_row, nu, mode)
+
+
 def step(field: SpectralField, nu: float, w: InteractionKernel,
          mode: str = "full") -> StepDiagnostics:
     """Advance one full time step and report its guard readings.
 
-    The substeps advance a copy of the field; its data and time are written
-    back only after every guard has passed, so a step that raises leaves
+    The step composes OU(dt/2) o N(dt/2) o T(dt) o N(dt/2) o OU(dt/2), then
+    rejects a non-finite state, averages the state with its mirror after
+    checking the reality drift, and checks the edge sentinel.  It runs the
+    cached stepper of (grid, nu, kernel, mode).  A step that raises leaves
     the field as it was.
     """
     if mode not in _MODES:
@@ -638,22 +842,7 @@ def step(field: SpectralField, nu: float, w: InteractionKernel,
     if not 0.0 <= nu < math.inf:
         raise DomainError(f"collision frequency must be finite and "
                           f"nonnegative, got nu = {nu!r}")
-    dt = field.grid.dt
-    new = field.copy()
-    ou_step(new, nu, 0.5 * dt)
-    _rk4_substep(new, nu, w, mode, 0.5 * dt)
-    transport_step(new)
-    _rk4_substep(new, nu, w, mode, 0.5 * dt)
-    ou_step(new, nu, 0.5 * dt)
-    if not np.all(np.isfinite(new.data)):
-        raise StateEscapeError("state left the representable range (non-finite "
-                               "amplitudes); the run has blown up")
-    defect = new.enforce_reality()
-    edge_ratio = new.check_boundary()
-    new.time += dt
-    field.data = new.data
-    field.time = new.time
-    return StepDiagnostics(reality_defect=defect, boundary_ratio=edge_ratio)
+    return _stepper(field.grid, w, nu, mode).advance(field)
 
 
 def march(field: SpectralField, nu: float, w: InteractionKernel, n_steps: int,

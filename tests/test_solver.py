@@ -20,15 +20,14 @@ from scipy.special import roots_hermite
 
 from vpfp.errors import AliasingError, DomainError, StateEscapeError
 from vpfp import solver
-from vpfp.grids import PhaseGrid, SpectralField
+from vpfp.grids import PhaseGrid, SpectralField, mirrored
 from vpfp.linear_theory import (InteractionKernel, VolterraProblem,
                                 free_streaming_source, mu_hat,
                                 volterra_solve)
-from vpfp.solver import (HydroMoments, InitialData, Mode, _conv_index,
-                         _eta_stencils, _force_rows, _ou_plan, _rhs_full,
-                         _rhs_linear, _rk4_substep, _step_plan,
-                         compute_moments, conserved_quantities, conv_matrix,
-                         init_state, march, ou_step, run_simulation, step,
+from vpfp.solver import (HydroMoments, InitialData, Mode, Stepper, _OUPlan,
+                         _cached_stepper, _eta_stencils, _stepper,
+                         compute_moments, conserved_quantities, init_state,
+                         march, ou_step, run_simulation, step,
                          transport_step)
 
 
@@ -64,8 +63,8 @@ def ref_closure_solve(rho_mat, rhs):
 def closure_residuals(m):
     """Relative l1 residuals of the closure identities (1 + rho) u = m1 and
     (1 + rho) T = m_t."""
-    ru = m.u + conv_matrix(m.rho) @ m.u - m.m1
-    rt = m.T + conv_matrix(m.rho) @ m.T - m.m_t
+    ru = m.u + ref_conv_matrix(m.rho) @ m.u - m.m1
+    rt = m.T + ref_conv_matrix(m.rho) @ m.T - m.m_t
     s1 = max(float(np.sum(np.abs(m.m1))), 1e-300)
     st = max(float(np.sum(np.abs(m.m_t))), 1e-300)
     return {"u": float(np.sum(np.abs(ru))) / s1,
@@ -75,6 +74,20 @@ def closure_residuals(m):
 def rel_gap(got, want):
     """max|got - want| over max|want|."""
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def rhs_full(field, m, nu, w):
+    """The full coupling RHS of the field's state at moments m, by the
+    stepper of (grid, kernel, nu)."""
+    return _stepper(field.grid, w, nu, "full").rhs_full(
+        field.data, m.rho, m.m1, m.m_t, m.e_field)
+
+
+def conv_matrix(coeffs):
+    """The stepper's convolution matrix of coeffs, through a fresh pad."""
+    n = coeffs.shape[0]
+    conv = _stepper(small_grid(k_max=n // 2), coulomb(n // 2)).conv
+    return conv(np.zeros(2 * n - 1, dtype=coeffs.dtype), coeffs)
 
 
 class TestConvMatrix:
@@ -293,8 +306,11 @@ class TestOuStep:
         xi = math.exp(-nu * dt) * g.eta
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             want = PchipInterpolator(g.eta, y, axis=1)(xi)
-        got = _ou_plan(g, nu, dt).resample(y)
-        assert got.tobytes() == want.tobytes()
+        resample = _OUPlan.build(g, nu, dt).resample
+        assert resample(y).tobytes() == want.tobytes()
+        # the stale values of a work block never reach the result
+        work = np.full((5, y.size), np.nan)
+        assert resample(y, work).tobytes() == want.tobytes()
 
     @staticmethod
     def sparse_rows(case, n_rows, n_eta):
@@ -362,7 +378,7 @@ class TestOuStep:
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
                 want = PchipInterpolator(g.eta, y, axis=1)(xi)
-            got = _ou_plan(g, nu, dt).resample(y)
+            got = _OUPlan.build(g, nu, dt).resample(y)
             assert got.tobytes() == want.tobytes(), (k_max, n_eta)
 
     def test_window_matches_scipy_pchip_on_random_sparse_rows(self):
@@ -386,8 +402,10 @@ class TestOuStep:
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
                 want = PchipInterpolator(g.eta, y, axis=1)(xi)
-            got = _ou_plan(g, 1.0, nu_dt).resample(y)
-            assert got.tobytes() == want.tobytes(), trial
+            resample = _OUPlan.build(g, 1.0, nu_dt).resample
+            assert resample(y).tobytes() == want.tobytes(), trial
+            work = np.full((5, y.size), np.nan)
+            assert resample(y, work).tobytes() == want.tobytes(), trial
 
     @pytest.mark.parametrize("k_max,eta_max,n_eta", LATTICES[:4])
     def test_step_matches_per_call_scipy_reference(self, k_max, eta_max, n_eta):
@@ -410,16 +428,25 @@ class TestOuStep:
         assert f.data.tobytes() == want.tobytes()
 
     def test_plan_keyed_on_whole_grid(self):
+        # the step's OU plan lives in its stepper, cached on the whole grid,
+        # the kernel row, nu and mode
         a = small_grid(eta_max=16.0, n_eta=256)
         b = small_grid(eta_max=8.0, n_eta=256)
-        pa, pb = _ou_plan(a, 0.1, 0.05), _ou_plan(b, 0.1, 0.05)
-        assert pa is not pb
-        assert not np.array_equal(pa.resample.s, pb.resample.s)
-        assert not np.array_equal(pa.growth, pb.growth)
-        assert _ou_plan(small_grid(eta_max=16.0, n_eta=256), 0.1, 0.05) is pa
+        w = coulomb(2)
+        sa, sb = _stepper(a, w, 0.1, "full"), _stepper(b, w, 0.1, "full")
+        assert sa is not sb
+        assert not np.array_equal(sa.ou.resample.s, sb.ou.resample.s)
+        assert not np.array_equal(sa.ou.growth, sb.ou.growth)
+        assert _stepper(small_grid(eta_max=16.0, n_eta=256), w, 0.1,
+                        "full") is sa
+        custom = InteractionKernel(label="custom", table={1: 0.7, -1: 0.7})
+        others = [_stepper(a, custom, 0.1, "full"),
+                  _stepper(a, w, 0.2, "full"), _stepper(a, w, 0.1, "linear")]
+        assert all(o is not sa for o in others)
+        assert not np.array_equal(others[0].force_row, sa.force_row)
 
     def test_plan_arrays_read_only(self):
-        plan = _ou_plan(small_grid(), 0.1, 0.05)
+        plan = _stepper(small_grid(), coulomb(2), 0.1, "full").ou
         arrays = [plan.growth, plan.defect] + [
             getattr(plan.resample, f.name) for f in fields(plan.resample)]
         for a in arrays:
@@ -427,19 +454,20 @@ class TestOuStep:
                 a[0] = 1.0
 
     def test_cached_plan_gives_same_bytes(self):
+        # the first step on a key builds its stepper, the next reuses it
         g = small_grid()
-        rng = np.random.default_rng(5)
-        data = self.rough_rows(rng, g.n_k, g.n_eta)
-        nu, dt = 0.37, 0.0625   # a key no other test uses: first call builds
-        start = _ou_plan.cache_info()
-        f1 = SpectralField(grid=g, data=data.copy())
-        ou_step(f1, nu, dt)
-        built = _ou_plan.cache_info()
-        f2 = SpectralField(grid=g, data=data.copy())
-        ou_step(f2, nu, dt)
-        reused = _ou_plan.cache_info()
+        w = coulomb(2)
+        f1, _ = init_state(InitialData(eps=1e-3, modes=(Mode(1, 1.0),)), g, w)
+        f2 = f1.copy()
+        nu = 0.37   # a key no other test uses: the first step builds it
+        start = _cached_stepper.cache_info()
+        step(f1, nu, w, "full")
+        built = _cached_stepper.cache_info()
+        step(f2, nu, w, "full")
+        reused = _cached_stepper.cache_info()
         assert built.misses == start.misses + 1
         assert reused.hits == built.hits + 1
+        assert reused.misses == built.misses
         assert f1.data.tobytes() == f2.data.tobytes()
 
     @pytest.mark.parametrize("j,tol", [(1, 5e-7), (2, 5e-6)])
@@ -542,10 +570,10 @@ class TestComputeMoments:
         m = compute_moments(f, coulomb(3))
         if rho_amp is None:
             assert 0.498 < m.sup_rho < 0.5
-        rho_mat = conv_matrix(m.rho)
+        rho_mat = ref_conv_matrix(m.rho)
         u = ref_closure_solve(rho_mat, m.m1)
         assert rel_gap(m.u, u) <= 1e-13
-        m_t = m.m2 - conv_matrix(m.m1) @ u
+        m_t = m.m2 - ref_conv_matrix(m.m1) @ u
         assert rel_gap(m.m_t, m_t) <= 1e-13
         assert rel_gap(m.T, ref_closure_solve(rho_mat, m_t)) <= 1e-13
 
@@ -602,9 +630,9 @@ class TestComputeMoments:
         w = coulomb(k_max)
         f.data *= 0.2 / compute_moments(f, w).sup_rho
         m = compute_moments(f, w)
-        closure = np.eye(g.n_k) + conv_matrix(m.rho)
+        closure = np.eye(g.n_k) + ref_conv_matrix(m.rho)
         u = np.linalg.solve(closure, m.m1)
-        m_t = m.m2 - conv_matrix(m.m1) @ u
+        m_t = m.m2 - ref_conv_matrix(m.m1) @ u
         assert m.u.tobytes() == u.tobytes()
         assert m.m_t.tobytes() == m_t.tobytes()
         assert m.T.tobytes() == np.linalg.solve(closure, m_t).tobytes()
@@ -712,19 +740,25 @@ class TestInitState:
         with pytest.raises(DomainError):
             init_state(InitialData(eps=0.1, modes=(Mode(3, 1.0),)), g, coulomb(2))
 
-    def test_wide_bump_raises_aliasing(self):
-        g = small_grid(k_max=1, eta_max=8.0, n_eta=64)
+    @pytest.mark.parametrize("k_max,eta_max,n_eta,eps,mode", [
+        (1, 8.0, 64, 0.1, Mode(1, 1.0, 0.0, 2.0)),
+        # bumps that fit the 6-width rule but sit 6.6e-8 and 3.2e-8 of
+        # their peak at the edge, where column 0 has no mirror sample
+        (2, 16.0, 256, 1.0, Mode(1, 1.0, 10.0, 1.0)),
+        (2, 16.0, 256, 1.0, Mode(1, 1.0, 4.0, 2.0))],
+        ids=["wide", "edge_center_10", "edge_width_2"])
+    def test_wide_bump_raises_aliasing(self, k_max, eta_max, n_eta, eps, mode):
+        g = small_grid(k_max=k_max, eta_max=eta_max, n_eta=n_eta)
         with pytest.raises(AliasingError):
-            init_state(InitialData(eps=0.1, modes=(Mode(1, 1.0, 0.0, 2.0),)),
-                       g, coulomb(1))
+            init_state(InitialData(eps=eps, modes=(mode,)), g, coulomb(k_max))
 
 
 class TestNonlinearRhs:
     def test_zero_state_gives_zero(self):
         g = small_grid()
         f = SpectralField.zeros(g)
-        m = compute_moments(f, coulomb(2))
-        out = _rhs_full(f, m, nu=1e-2)
+        w = coulomb(2)
+        out = rhs_full(f, compute_moments(f, w), 1e-2, w)
         assert np.all(out == 0)
 
     def test_mass_column_identically_zero(self):
@@ -732,8 +766,7 @@ class TestNonlinearRhs:
         w = coulomb(2)
         f, _ = init_state(InitialData(eps=0.05,
                                       modes=(Mode(1, 0.8, 0.7, 1.0),)), g, w)
-        m = compute_moments(f, w)
-        out = _rhs_full(f, m, nu=1e-2)
+        out = rhs_full(f, compute_moments(f, w), 1e-2, w)
         assert np.all(out[:, g.i_zero] == 0)
 
     def test_force_convolution_support(self):
@@ -749,8 +782,7 @@ class TestNonlinearRhs:
         f.data[g.k_index(-1)] = eps * mu
         f.data[g.k_index(3)] = eps * g.eta * np.exp(-(g.eta - 1.0) ** 2 / 2)
         f.data[g.k_index(-3)] = -eps * g.eta * np.exp(-(g.eta + 1.0) ** 2 / 2)
-        m = compute_moments(f, w)
-        out = _rhs_full(f, m, nu=0.0)
+        out = rhs_full(f, compute_moments(f, w), 0.0, w)
         # matmul accumulation order leaves ~1e-23 dust on rows whose
         # contributions cancel analytically, so threshold relative to peak
         floor = 1e-12 * np.max(np.abs(out))
@@ -766,9 +798,11 @@ class TestNonlinearRhs:
         m_t = z.copy()
         m_t[g.k_index(1)] = 0.3
         m_t[g.k_index(-1)] = 0.3
-        m = HydroMoments(rho=z.copy(), m1=z.copy(), m2=z.copy(), u=z.copy(),
-                         m_t=m_t, T=z.copy(), e_field=z.copy(), sup_rho=0.0)
-        out = _rhs_full(f, m, nu=nu)
+        # rho is real, as on every real state
+        m = HydroMoments(rho=np.zeros(g.n_k), m1=z.copy(), m2=z.copy(),
+                         u=z.copy(), m_t=m_t, T=z.copy(), e_field=z.copy(),
+                         sup_rho=0.0)
+        out = rhs_full(f, m, nu, coulomb(2))
         mu = np.exp(-g.eta ** 2 / 2)
         for j in (g.i_zero + 3, g.i_zero + 17, g.i_zero - 40):
             eta = g.eta[j]
@@ -902,18 +936,31 @@ class TestStepPlan:
                          c.field_energy]).tobytes() == \
             np.array(ref_conserved(f, w)).tobytes()
         for nu in (0.0, 1e-4, 0.37):
-            assert rel_gap(_rhs_full(f, m, nu), ref_rhs_full(f, want, nu)) \
+            assert rel_gap(rhs_full(f, m, nu, w), ref_rhs_full(f, want, nu)) \
                 <= 1e-14
-        assert _rhs_linear(f, w).tobytes() == ref_rhs_linear(f, w).tobytes()
+        linear = _stepper(g, w, 1e-4, "linear").rhs_linear(f.data)
+        assert linear.tobytes() == ref_rhs_linear(f, w).tobytes()
 
     def test_plan_arrays_read_only(self):
-        g = small_grid()
-        plan = _step_plan(g)
-        arrays = [getattr(plan, fld.name) for fld in fields(plan)]
-        arrays += list(_force_rows(g, coulomb(2))) + [_conv_index(g.n_k)]
+        s = _stepper(small_grid(), coulomb(2), 0.1, "full")
+        arrays = [s.eta, s.neg_eta2, s.eta_mu, s.eta2_mu, s.x_modes,
+                  s.force_row, s.energy_row, s.eye, s.conv_index,
+                  s._rhs_index]
         for a in arrays:
             with pytest.raises(ValueError):
                 a.flat[0] = 1.0
+
+    def test_one_plan_cache(self):
+        caches = [name for name, value in vars(solver).items()
+                  if hasattr(value, "cache_info")]
+        assert caches == ["_cached_stepper"]
+
+    def test_readouts_hold_no_step_buffers(self):
+        # compute_moments and conserved_quantities read the nu = 0
+        # free-mode stepper, which has no OU plan and no RK4 buffers
+        s = _stepper(small_grid(), coulomb(2))
+        assert s.ou is None
+        assert not hasattr(s, "_acc") and not hasattr(s, "_prod")
 
     def test_kernels_on_one_grid_get_their_own_rows(self):
         g = small_grid(k_max=2)
@@ -933,8 +980,10 @@ def ref_rk4_linear_substep(field, w, dt):
     evaluated on its own probe state."""
     y = field.data
 
+    rhs = _stepper(field.grid, w, 0.0, "linear").rhs_linear
+
     def f_of(data):
-        return _rhs_linear(SpectralField(grid=field.grid, data=data), w)
+        return rhs(data)
 
     k1 = f_of(y)
     k2 = f_of(y + 0.5 * dt * k1)
@@ -961,8 +1010,8 @@ class TestLinearSubstep:
         f = self.landau_field()
         w = coulomb(1)
         want = ref_rk4_linear_substep(f, w, 0.0625)
-        _rk4_substep(f, 1e-5, w, "linear", 0.0625)
-        assert f.data.tobytes() == want.tobytes()
+        got = _stepper(f.grid, w, 1e-5, "linear").rk4_substep(f.data)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", [(0, 1, 2), (0, 2)],
                              ids=["every_row", "force_rows"])
@@ -973,20 +1022,21 @@ class TestLinearSubstep:
         for row in rows:
             f.data[row, f.grid.i_zero] = -0.0
         want = ref_rk4_linear_substep(f, w, 0.0625)
-        _rk4_substep(f, 1e-5, w, "linear", 0.0625)
-        assert np.array_equal(f.data, want)
+        got = _stepper(f.grid, w, 1e-5, "linear").rk4_substep(f.data)
+        assert np.array_equal(got, want)
 
     def test_one_rhs_evaluation_per_substep(self, monkeypatch):
         f = self.landau_field()
         w = coulomb(1)
         calls = []
+        real = Stepper.rhs_linear
 
-        def counted(field, kernel):
-            calls.append(field.time)
-            return _rhs_linear(field, kernel)
+        def counted(self, y, out=None):
+            calls.append(y.shape)
+            return real(self, y, out)
 
-        monkeypatch.setattr(solver, "_rhs_linear", counted)
-        _rk4_substep(f, 1e-5, w, "linear", 0.0625)
+        monkeypatch.setattr(Stepper, "rhs_linear", counted)
+        _stepper(f.grid, w, 1e-5, "linear").rk4_substep(f.data)
         assert len(calls) == 1
         f, _ = init_state(InitialData(eps=1e-3, modes=(Mode(1, 1.0),)),
                           f.grid, w)
@@ -1028,13 +1078,14 @@ class TestStep:
             step(f, nu, w, "full")
         replay = f.copy()
         diag = step(f, nu, w, "full")
+        coupling = _stepper(g, w, nu, "full").rk4_substep
         ou_step(replay, nu, 0.5 * g.dt)
-        _rk4_substep(replay, nu, w, "full", 0.5 * g.dt)
+        replay.data = coupling(replay.data)
         transport_step(replay)
-        _rk4_substep(replay, nu, w, "full", 0.5 * g.dt)
+        replay.data = coupling(replay.data)
         ou_step(replay, nu, 0.5 * g.dt)
-        defect = float(np.max(np.abs(replay.data - replay._mirror())))
-        replay.data = 0.5 * (replay.data + replay._mirror())
+        defect = float(np.max(np.abs(replay.data - mirrored(replay.data))))
+        replay.data = 0.5 * (replay.data + mirrored(replay.data))
         edge = np.concatenate([replay.data[:, :2], replay.data[:, -2:]], axis=1)
         ratio = float(np.max(np.abs(edge))) / float(np.max(np.abs(replay.data)))
         assert np.array_equal(f.data, replay.data)
@@ -1056,7 +1107,7 @@ class TestStep:
         f, _ = init_state(InitialData(eps=1e-3, modes=(Mode(1, 1.0),)), g, w)
         data, time = f.data.tobytes(), f.time
         substeps = []
-        for name in ("ou_step", "_rk4_substep", "transport_step"):
+        for name in ("_stepper", "transport_step"):
             monkeypatch.setattr(solver, name,
                                 lambda *a, name=name: substeps.append(name))
         with pytest.raises(DomainError, match="collision frequency"):
@@ -1065,24 +1116,69 @@ class TestStep:
         assert f.data.tobytes() == data
         assert f.time == time
 
-    def test_failing_step_leaves_field_unchanged(self):
-        # a bump centred off zero reaches the edge of this window after 32
-        # steps; the 33rd trips the edge guard after its substeps have run
+    @pytest.mark.parametrize("mode,nu,n_fail", [
+        ("full", 1e-3, 33), ("linear", 1e-3, 46), ("free", 1e-3, 53),
+        ("full", 0.0, 33)], ids=["full", "linear", "free", "full_nu0"])
+    def test_failing_step_leaves_field_unchanged(self, mode, nu, n_fail):
+        # a bump centred off zero drifts to the edge of this window; step
+        # n_fail streams too much amplitude off it, after its first OU and
+        # coupling substeps have run.  At nu = 0 there is no OU substep to
+        # write a new array before the others.
         g = small_grid(k_max=2, eta_max=16.0, n_eta=128)
         w = coulomb(2)
         f, _ = init_state(InitialData(eps=1e-3, modes=(Mode(1, 1.0, 6.0, 1.0),)),
                           g, w)
+        held = f.data
         for n in range(1, 200):
             data, time = f.data.tobytes(), f.time
             try:
-                step(f, 1e-3, w, "full")
+                step(f, nu, w, mode)
             except AliasingError:
                 break
         else:
             pytest.fail("the bump never reached the window edge")
-        assert n == 33
+        assert n == n_fail
         assert f.data.tobytes() == data
         assert f.time == time
+        assert held is not f.data
+
+    @pytest.mark.parametrize("mode,nu", [("full", 1e-3), ("linear", 1e-3),
+                                         ("free", 1e-3), ("full", 0.0)])
+    def test_earlier_state_keeps_its_bytes(self, mode, nu):
+        # a step writes a new array; the stepper's buffers never become a
+        # field's data
+        g = small_grid(k_max=2, eta_max=16.0, n_eta=128)
+        w = coulomb(2)
+        f, _ = init_state(InitialData(eps=1e-3, modes=(Mode(1, 1.0, 1.0, 1.0),)),
+                          g, w)
+        held = []
+        for _ in range(4):
+            held.append((f.data, f.data.tobytes()))
+            step(f, nu, w, mode)
+        for data, want in held:
+            assert data.tobytes() == want
+        assert len({id(data) for data, _ in held} | {id(f.data)}) == 5
+
+    @pytest.mark.parametrize("mode", ["full", "linear", "free"])
+    def test_fields_sharing_a_stepper_step_as_if_alone(self, mode):
+        # two states on one (grid, nu, kernel, mode) share one stepper and
+        # its buffers; stepped alternately, each gives its own bytes
+        g = small_grid(k_max=2, eta_max=16.0, n_eta=128)
+        w = coulomb(2)
+        data = [InitialData(eps=1e-3, modes=(Mode(1, 1.0, 0.5, 1.0),)),
+                InitialData(eps=2e-2, modes=(Mode(2, -0.7, -1.0, 1.5),))]
+        alone = []
+        for datum in data:
+            f, _ = init_state(datum, g, w)
+            for _ in range(6):
+                step(f, 1e-2, w, mode)
+            alone.append(f.data.tobytes())
+        pair = [init_state(datum, g, w)[0] for datum in data]
+        for _ in range(6):
+            for f in pair:
+                step(f, 1e-2, w, mode)
+        assert [f.data.tobytes() for f in pair] == alone
+        assert alone[0] != alone[1]
 
     def test_blowup_trips_state_escape(self):
         g = small_grid(k_max=2, eta_max=16.0, n_eta=256)
