@@ -667,7 +667,7 @@ def run_threshold_scan(spec: ExperimentSpec) -> ThresholdReport:
 
             def departed(state, _cons, i):
                 nonlocal hit
-                nl = np.max(np.abs(compute_moments(state, w).rho[cols]))
+                nl = np.max(np.abs(state.data[cols, grid.i_zero]))
                 hit = bool(nl > factor * lin[i] and nl >= floor)
                 return hit
 

@@ -41,12 +41,13 @@ The step is a function of the state and a per-run plan.  A Stepper for one
 only on those four (the OU plan, the eta rows, the kernel rows, the
 x-profile matrix and the convolution index, all read-only) and every
 lattice-sized buffer its stages write.  step takes its stepper from one
-cache, the only plan cache of the module.  compute_moments and
-conserved_quantities read the grid's nu = 0 free-mode stepper from the
-same cache, and ou_step builds the OU plan a stepper holds, so the
-closure, the RHS and the resampler each exist once.  Each buffered
-operation keeps the operands and the order of the allocating form, so the
-buffers change no byte of any result.
+cache, the only plan cache of the module.  The readouts take the grid's
+nu = 0 free-mode stepper from it: a recorded density is the state's eta = 0
+column and its force the force row times it, so only full mode's RK4
+stages and compute_moments run the closure.  ou_step builds the OU plan a
+stepper holds, so the closure, the RHS and the resampler each exist once.
+The buffers keep each operation's operands and order, so they change
+no byte of any result.
 
 Convolutions in k are exact direct sums over the truncated band.  The
 moment closure follows the density, momentum and second-moment columns of
@@ -188,17 +189,7 @@ def conserved_quantities(field: SpectralField, w: InteractionKernel) -> Conserve
     mass = 2 pi Re h(0, 0); momentum = 2 pi Re M1(0);
     kinetic = pi (1 + Re M2(0)); field = pi sum_k k^2 w(k)^2 |rho(k)|^2.
     """
-    g = field.grid
-    d1, d2 = _eta_stencils(field.data, g)
-    i0 = g.k_index(0)
-    mass = 2.0 * math.pi * float(field.data[i0, g.i_zero])
-    momentum = 2.0 * math.pi * float((1j * d1[i0]).real)
-    kinetic = math.pi * (1.0 + float(-d2[i0]))
-    rho = field.data[:, g.i_zero]
-    field_e = math.pi * float(np.sum(_stepper(g, w).energy_row
-                                     * np.abs(rho) ** 2))
-    return ConservedQuantities(mass=mass, momentum=momentum,
-                               kinetic_energy=kinetic, field_energy=field_e)
+    return _stepper(field.grid, w).conserved(field)
 
 
 @dataclass(frozen=True)
@@ -665,6 +656,17 @@ class Stepper:
                 f"the positivity floor {POSITIVITY_FLOOR}")
         return rho, m1, m2, u, m_t, temp, self.force_row * rho, sup_rho
 
+    def conserved(self, field: SpectralField) -> ConservedQuantities:
+        """conserved_quantities of the field; it stencils the k = 0 row."""
+        row = field.data[self.grid.k_index(0)]
+        d1, d2 = _eta_stencils(row, self.grid)
+        return ConservedQuantities(
+            mass=2.0 * math.pi * float(row[self.i_zero]),
+            momentum=2.0 * math.pi * float((1j * d1).real),
+            kinetic_energy=math.pi * (1.0 + float(-d2)),
+            field_energy=math.pi * float(np.sum(
+                self.energy_row * np.abs(field.data[:, self.i_zero]) ** 2)))
+
     def rhs_full(self, y: np.ndarray, rho: np.ndarray, m1: np.ndarray,
                  m_t: np.ndarray, e_field: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -810,9 +812,9 @@ class Stepper:
 
 
 # The one plan cache: a stepper per (grid, kernel row, nu, mode).  A march
-# uses two at once, its own and the readouts'; four keep a campaign's next
-# cell from rebuilding them, while the buffers of its finished cells (echo
-# marches five nu cells in turn) are let go.
+# uses two at once, its step's, whose RK4 stages run its only closures, and
+# the readouts'; four keep a campaign's next cell from rebuilding them, while
+# the buffers of its finished cells (echo marches five nu cells) are let go.
 _cached_stepper = functools.lru_cache(maxsize=4)(Stepper)
 
 
@@ -852,17 +854,18 @@ def march(field: SpectralField, nu: float, w: InteractionKernel, n_steps: int,
     """Advance the field up to n_steps steps, measuring every state once.
 
     The conserved quantities are measured on the initial state and after
-    each step.  observe(field, cons, i) sees state i (0 is the initial
-    state) with its conserved quantities; a true return stops the march
-    there.  Returns the largest |mass drift|, |momentum drift| and reality
-    defect over the steps taken.
+    each step by the readout stepper, looked up once.  observe(field, cons,
+    i) sees state i (0 is the initial state) with its conserved quantities;
+    a true return stops the march there.  Returns the largest |mass drift|,
+    |momentum drift| and reality defect over the steps taken.
     """
-    cons = conserved_quantities(field, w)
+    readout = _stepper(field.grid, w)
+    cons = readout.conserved(field)
     max_dm = max_dp = max_re = 0.0
     i = 0
     while not observe(field, cons, i) and i < n_steps:
         diag = step(field, nu, w, mode)
-        after = conserved_quantities(field, w)
+        after = readout.conserved(field)
         max_dm = max(max_dm, abs(after.mass - cons.mass))
         max_dp = max(max_dp, abs(after.momentum - cons.momentum))
         max_re = max(max_re, diag.reality_defect)
@@ -878,8 +881,6 @@ class RunResult:
     times: np.ndarray
     rho: np.ndarray
     e_field: np.ndarray
-    mass: np.ndarray
-    momentum: np.ndarray
     kinetic_energy: np.ndarray
     field_energy: np.ndarray
     max_mass_drift: float
@@ -892,24 +893,22 @@ def run_simulation(field: SpectralField, nu: float, w: InteractionKernel,
                    n_steps: int, mode: str = "full") -> RunResult:
     """March n_steps from the given state, collecting moment series.
 
-    The march's observer records the moments and conserved quantities of
-    the initial instant and of the state after every step; the drift
-    maxima are the march's.
+    The march's observer records the initial instant and the state after
+    every step: the density is the state's eta = 0 column and the force the
+    force row times it, so no closure runs; the drift maxima are the march's.
     """
     if n_steps < 1:
         raise DomainError("need at least one step")
     rows = []
 
     def record(f: SpectralField, c: ConservedQuantities, _i: int) -> None:
-        m = compute_moments(f, w)
-        rows.append((f.time, m.rho, m.e_field, c.mass, c.momentum,
+        rows.append((f.time, f.data[:, f.grid.i_zero].copy(),
                      c.kinetic_energy, c.field_energy))
 
     max_dm, max_dp, max_re = march(field, nu, w, n_steps, mode, record)
-    times, rho, e_field, mass, momentum, kinetic, field_e = (
-        np.asarray(col) for col in zip(*rows))
-    return RunResult(times=times, rho=rho, e_field=e_field, mass=mass,
-                     momentum=momentum, kinetic_energy=kinetic,
-                     field_energy=field_e, max_mass_drift=max_dm,
-                     max_momentum_drift=max_dp, max_reality_defect=max_re,
-                     final=field)
+    times, rho, kinetic, field_e = (np.asarray(col) for col in zip(*rows))
+    return RunResult(times=times, rho=rho,
+                     e_field=_stepper(field.grid, w).force_row * rho,
+                     kinetic_energy=kinetic, field_energy=field_e,
+                     max_mass_drift=max_dm, max_momentum_drift=max_dp,
+                     max_reality_defect=max_re, final=field)

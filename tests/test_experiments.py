@@ -615,3 +615,32 @@ def test_every_step_goes_through_solver_step(monkeypatch, kind, cfg, modes):
     assert [size for _, size in stepped] == streamed
     assert {mode for mode, _ in stepped} == modes
     assert dtypes == {np.dtype(np.float64)}
+
+
+def test_threshold_closures_run_only_in_full_steps(monkeypatch):
+    """The classifier reads its density off the state and the linear
+    reference never solves the closure, so every closure of the scan is one
+    of a full step's eight RK4 stages."""
+    modes, closures = [], []
+    in_step = [False]
+    real_step, real_closure = solver.step, solver.Stepper.closure
+
+    def counted_step(field, nu, w, mode="full"):
+        modes.append(mode)
+        in_step[0] = True
+        try:
+            return real_step(field, nu, w, mode)
+        finally:
+            in_step[0] = False
+
+    def counted_closure(stepper, y):
+        closures.append(in_step[0])
+        return real_closure(stepper, y)
+
+    monkeypatch.setattr(solver, "step", counted_step)
+    monkeypatch.setattr(solver.Stepper, "closure", counted_closure)
+    run_experiment("threshold", RunConfig(nu_list=(1e-4,),
+                                          threshold_eps_cap=0.05))
+    assert set(modes) == {"linear", "full"}
+    assert all(closures)
+    assert len(closures) == 8 * modes.count("full")

@@ -1247,26 +1247,32 @@ class TestConservationRun:
         assert res.times.shape == (11,)
         assert res.rho.shape == (11, g.n_k)
         assert res.e_field.shape == (11, g.n_k)
-        assert res.mass.shape == (11,)
+        assert res.kinetic_energy.shape == (11,)
         assert res.times[-1] == pytest.approx(10 * g.dt)
 
-    def test_recorded_conserved_quantities_are_those_of_the_states(self):
+    @pytest.mark.parametrize("mode", ["full", "linear"])
+    def test_recorded_conserved_quantities_are_those_of_the_states(self, mode):
         # the records and drift maxima come from the march's one measurement
-        # per state; replay and measure directly.  The off-centre bump gives
-        # nonzero reality defects; a real state carries no momentum.
+        # per state, and the density and force are read off the state;
+        # replay and measure directly, with compute_moments the reference.
+        # The off-centre bump gives nonzero reality defects; a real state
+        # carries no momentum.
         g = small_grid(k_max=1, eta_max=16.0, n_eta=128)
         w = coulomb(1)
         f, _ = init_state(InitialData(
             eps=1e-2, modes=(Mode(1, 0.8, 0.7, 1.0),)), g, w)
         replay = f.copy()
-        res = run_simulation(f, 1e-2, w, 7, mode="full")
+        res = run_simulation(f, 1e-2, w, 7, mode=mode)
         want = [conserved_quantities(replay, w)]
+        moments = [compute_moments(replay, w)]
         defects = []
         for _ in range(7):
-            defects.append(step(replay, 1e-2, w, "full").reality_defect)
+            defects.append(step(replay, 1e-2, w, mode).reality_defect)
             want.append(conserved_quantities(replay, w))
-        assert res.mass.tolist() == [c.mass for c in want]
-        assert res.momentum.tolist() == [c.momentum for c in want]
+            moments.append(compute_moments(replay, w))
+        for i, m in enumerate(moments):
+            assert res.rho[i].tobytes() == m.rho.tobytes()
+            assert res.e_field[i].tobytes() == m.e_field.tobytes()
         assert res.kinetic_energy.tolist() == [c.kinetic_energy for c in want]
         assert res.field_energy.tolist() == [c.field_energy for c in want]
         pairs = list(zip(want, want[1:]))
@@ -1331,12 +1337,47 @@ class TestMarch:
         f, w = self.start()
         measured = []
 
-        def counted(field, kernel):
-            measured.append(field.time)
-            return conserved_quantities(field, kernel)
+        real = Stepper.conserved
 
-        monkeypatch.setattr(solver, "conserved_quantities", counted)
+        def counted(stepper, field):
+            measured.append(field.time)
+            return real(stepper, field)
+
+        monkeypatch.setattr(Stepper, "conserved", counted)
         res = run_simulation(f, 1e-2, w, 7, mode=mode)
         assert measured == res.times.tolist()
         assert len(measured) == 7 + 1
 
+    @pytest.mark.parametrize("mode,per_step", [
+        ("full", 8), ("linear", 0), ("free", 0)])
+    def test_closures_only_in_rk4_stages(self, monkeypatch, mode, per_step):
+        # the readouts read rho and the force off the state, so the only
+        # closures of a run are the full step's two RK4 substeps of 4 stages
+        f, w = self.start()
+        calls = []
+        real = Stepper.closure
+
+        def counted(stepper, y):
+            calls.append(stepper.mode)
+            return real(stepper, y)
+
+        monkeypatch.setattr(Stepper, "closure", counted)
+        run_simulation(f, 1e-2, w, 7, mode=mode)
+        assert calls == ["full"] * (per_step * 7)
+
+    def test_linear_mode_is_scale_free_past_the_closure_bound(self):
+        # linear mode never solves the closure, so nothing bounds its
+        # amplitude: at eps = 0.5 the density profile reaches sup 1, twice
+        # the closure bound, and the run is still 512 times the one at
+        # eps = 2^-10, bit for bit
+        g = PhaseGrid(k_max=1, eta_max=32.0, n_eta=256, dt=0.25)
+        w = coulomb(1)
+
+        def rho(eps):
+            f, _ = init_state(InitialData(eps=eps, modes=(Mode(1, 1.0),)),
+                              g, w)
+            return run_simulation(f, 1e-3, w, 40, mode="linear").rho
+
+        big, small = rho(0.5), rho(2.0 ** -10)
+        assert np.max(np.abs(big)) >= 0.5
+        assert big.tobytes() == (512.0 * small).tobytes()
