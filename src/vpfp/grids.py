@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError
 
 # Fraction of the max amplitude tolerated at the lattice edge before a step
 # is declared aliased.
 BOUNDARY_SENTINEL = 1e-8
-
-# Pre-enforcement reality drift above this fraction of the max amplitude
-# indicates a structural bug rather than roundoff.
-REALITY_DRIFT_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,6 +38,10 @@ class PhaseGrid:
     dt: float
 
     def __post_init__(self):
+        for name in ("k_max", "n_eta"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise DomainError(
+                    f"{name} = {getattr(self, name)!r} is not an integer")
         if self.k_max < 1:
             raise DomainError("k_max must be at least 1")
         if self.n_eta < 8 or self.n_eta % 2:
@@ -110,21 +110,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(grid=self.grid, data=self.data.copy(), time=self.time)
 
-    def reality_defect(self) -> float:
-        """Max deviation from the reality symmetry, absolute."""
-        return float(np.max(np.abs(self.data - mirrored(self.data))))
-
-    def enforce_reality(self) -> float:
-        """Average the state with its mirror; error out on structural drift.
-
-        Returns the reality defect measured before the averaging.
-        """
-        mirror = mirrored(self.data)
-        defect = float(np.max(np.abs(self.data - mirror)))
-        check_reality_drift(defect, float(np.max(np.abs(self.data))))
-        self.data = 0.5 * (self.data + mirror)
-        return defect
-
     def boundary_amplitude(self) -> float:
         """Largest magnitude on the two outermost columns of each side."""
         edges = np.concatenate([self.data[:, :2].ravel(), self.data[:, -2:].ravel()])
@@ -143,11 +128,3 @@ def mirrored(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out[:, 0] = data[::-1, 0]
     return out
 
-
-def check_reality_drift(defect: float, scale: float) -> None:
-    """Raise InvariantError when a state's reality defect exceeds
-    REALITY_DRIFT_LIMIT of its scale, the max amplitude."""
-    if scale > 0 and defect > REALITY_DRIFT_LIMIT * scale:
-        raise InvariantError(
-            f"reality symmetry drift {defect:.3e} exceeds "
-            f"{REALITY_DRIFT_LIMIT:g} of the field scale {scale:.3e}")

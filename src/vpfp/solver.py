@@ -44,10 +44,10 @@ lattice-sized buffer its stages write.  step takes its stepper from one
 cache, the only plan cache of the module.  The readouts take the grid's
 nu = 0 free-mode stepper from it: a recorded density is the state's eta = 0
 column and its force the force row times it, so only full mode's RK4
-stages and compute_moments run the closure.  ou_step builds the OU plan a
-stepper holds, so the closure, the RHS and the resampler each exist once.
-The buffers keep each operation's operands and order, so they change
-no byte of any result.
+stages and compute_moments run the closure.  The stepper is the only
+implementation of the sub-flows and the guards, so the closure, the RHS,
+the resampler and the symmetrization each exist once.  The buffers keep
+each operation's operands and order, so they change no byte of any result.
 
 Convolutions in k are exact direct sums over the truncated band.  The
 moment closure follows the density, momentum and second-moment columns of
@@ -74,8 +74,7 @@ from .errors import (
     InvariantError,
     StateEscapeError,
 )
-from .grids import (BOUNDARY_SENTINEL, PhaseGrid, SpectralField,
-                    check_reality_drift, mirrored)
+from .grids import BOUNDARY_SENTINEL, PhaseGrid, SpectralField, mirrored
 from .linear_theory import InteractionKernel, mu_hat
 
 # Positivity floor for the reconstructed temperature profile.  The density
@@ -85,6 +84,11 @@ POSITIVITY_FLOOR = 0.5
 # Sup-norm bound on the density profile; below it the closure matrix
 # 1 + rho has a Neumann series and is well conditioned.
 CLOSURE_SUP_BOUND = 0.5
+
+# A reality defect above this fraction of the max amplitude, measured before
+# the state is averaged with its mirror, indicates a structural bug rather
+# than roundoff.
+REALITY_DRIFT_LIMIT = 1e-10
 
 # Oversampling factor of the spatial profile used by the guards.
 _X_OVERSAMPLE = 4
@@ -245,6 +249,9 @@ class InitialData:
             seen.add(mo.k)
 
 
+# an overflowing datum is rejected by the non-finite guard that ends
+# init_state, not reported as a warning on the way there
+@np.errstate(over="ignore", invalid="ignore")
 def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tuple[SpectralField, dict]:
     """Build the initial lattice state and project it onto the energy shell.
 
@@ -252,14 +259,15 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
     the datum carries no mass and, being real, no momentum perturbation.
     The one projection adds c2 * eta^2 e^(-eta^2/2) to the k = 0 row so
     that the total energy equals the unperturbed value pi, i.e.
-    M2(0) = -field_energy / pi.
+    M2(0) = -field_energy / pi.  The state then goes through the step's
+    guards and is averaged with its mirror (Stepper._symmetrize).
 
     Returns:
         (field, report); the report records the energy shift c2 and eps.
 
     Raises:
-        InvariantError: if the raw datum violates reality symmetry.
         AliasingError: if a bump does not fit inside the lattice window.
+        StateEscapeError: if the datum or its projection is not finite.
     """
     f = SpectralField.zeros(grid)
     eta = grid.eta
@@ -275,12 +283,9 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
         f.data[grid.k_index(-mo.k)] += mo.amp * np.exp(
             -(eta + mo.center) ** 2 / (2 * mo.width ** 2))
     f.data *= data.eps
-    # column 0 has no mirror sample, so an edge that has not decayed shows
-    # as a reality defect; it is tested first and named for what it is
+    # column 0 has no mirror sample, so it is the only place the datum can
+    # break the reality symmetry; this bounds it far below the drift limit
     _check_init_edge(f)
-    defect = f.reality_defect()
-    if defect > 1e-10 * max(float(np.max(np.abs(f.data))), 1e-300):
-        raise InvariantError(f"raw datum breaks reality symmetry by {defect:.3e}")
 
     # energy (even profile, stencil-exact second moment)
     i0k = grid.k_index(0)
@@ -289,11 +294,9 @@ def init_state(data: InitialData, grid: PhaseGrid, w: InteractionKernel) -> tupl
     _, q_d2 = _eta_stencils(q_prof, grid)
     c2 = -(float(_eta_stencils(f.data[i0k], grid)[1]) + m2_target) / float(q_d2)
     f.data[i0k] += c2 * q_prof
-    report = {"energy_shift": c2}
-    f.enforce_reality()
+    _stepper(grid, w)._symmetrize(f.data)
     _check_init_edge(f)
-    report["eps"] = data.eps
-    return f, report
+    return f, {"energy_shift": c2, "eps": data.eps}
 
 
 def _check_init_edge(f: SpectralField) -> None:
@@ -303,17 +306,15 @@ def _check_init_edge(f: SpectralField) -> None:
                             "the window edge; enlarge eta_max")
 
 
-def transport_step(field: SpectralField) -> None:
-    """Exact shear transport h(k, eta) <- h(k, eta + k dt) as column shifts.
+def transport_step(d: np.ndarray, g: PhaseGrid) -> np.ndarray:
+    """Exact shear transport h(k, eta) <- h(k, eta + k dt) of the state d on
+    the grid g as column shifts.
 
-    Row k shifts by k columns into a new array, which replaces the field's
-    data; one call per time step.  Raises AliasingError, with the field
-    left as it was, when the amplitude falling off the window is
-    significant.
+    Row k shifts by k columns into a new array, which is returned; one call
+    per time step.  Raises AliasingError when the amplitude falling off the
+    window is significant.
     """
-    g = field.grid
     n = g.n_eta
-    d = field.data
     sq = d * d
     norm = math.sqrt(float(sq.sum()))
     out = np.empty_like(d)
@@ -334,7 +335,7 @@ def transport_step(field: SpectralField) -> None:
         raise AliasingError(
             f"transport dropped amplitude {math.sqrt(dropped_sq):.3e} "
             f"({math.sqrt(dropped_sq) / norm:.2e} of the state); enlarge eta_max")
-    field.data = out
+    return out
 
 
 # Rows are resampled in blocks of at most this many values.  A block's
@@ -509,31 +510,6 @@ class _OUPlan:
         out *= self.growth
         out += np.multiply(y[:, self.i_zero, None], self.defect, out=scratch)
         return out
-
-
-def ou_step(field: SpectralField, nu: float, dt: float) -> None:
-    """Exact drift-diffusion flow resampled onto the lattice.
-
-    h(k, eta) <- h(k, e^(-nu dt) eta) * exp(expm1(-2 nu dt) eta^2 / 2),
-    evaluated by monotone cubic interpolation at the contracted points plus
-    an equilibrium-defect correction
-
-        new(eta) += h(k, 0) * [mu(eta) - P_mu(e^(-nu dt) eta) G(eta)]
-
-    which vanishes at eta = 0 and makes rows proportional to the Maxwellian
-    profile exact.
-
-    The contracted points, their intervals and local coordinates, the growth
-    row G and the defect row form an OU plan, built on each call; the step
-    keeps its own in its stepper and computes only the PCHIP slopes of the
-    state's rows.  The result is bit-identical to evaluating scipy's
-    PchipInterpolator(eta, field.data, axis=1) at the contracted points.
-    """
-    if dt < 0.0:
-        raise DomainError("time step must be nonnegative")
-    if dt == 0.0 or nu == 0.0:
-        return
-    field.data = _OUPlan.build(field.grid, nu, dt)(field.data)
 
 
 @dataclass
@@ -773,9 +749,8 @@ class Stepper:
         if self.ou is not None:
             y = self.ou(y, self._tmp, self._ou_work)
         y = self.rk4_substep(y)
-        streamed = SpectralField(grid=self.grid, data=y)
-        transport_step(streamed)
-        y = self.rk4_substep(streamed.data)
+        y = transport_step(y, self.grid)
+        y = self.rk4_substep(y)
         if self.ou is not None:
             y = self.ou(y, self._tmp, self._ou_work)
         defect, edge_ratio = self._symmetrize(y)
@@ -784,8 +759,8 @@ class Stepper:
         return StepDiagnostics(reality_defect=defect, boundary_ratio=edge_ratio)
 
     def _symmetrize(self, y: np.ndarray) -> tuple[float, float]:
-        """The step's guards on the new state y, which is averaged in place
-        with its mirror: the non-finite check, the reality drift measured
+        """The step's guards on the new state y (a step's or init_state's),
+        which is averaged in place with its mirror: the non-finite check, the reality drift measured
         before the averaging and the edge sentinel after it.  Returns the
         reality defect and the edge-to-peak ratio (0.0 for a zero state)."""
         mag = np.abs(y, out=self._tmp)
@@ -796,7 +771,10 @@ class Stepper:
                                    "amplitudes); the run has blown up")
         mirror = mirrored(y, out=self._aux)
         defect = float(np.abs(np.subtract(y, mirror, out=mag), out=mag).max())
-        check_reality_drift(defect, scale)
+        if defect > REALITY_DRIFT_LIMIT * scale:
+            raise InvariantError(
+                f"reality symmetry drift {defect:.3e} exceeds "
+                f"{REALITY_DRIFT_LIMIT:g} of the field scale {scale:.3e}")
         y += mirror
         y *= 0.5
         mag = np.abs(y, out=self._tmp)
