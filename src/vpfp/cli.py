@@ -25,9 +25,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run the {kind} campaign")
         p.add_argument("--config", required=True,
                        help="path to a key = value config file")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: the config's "
-                            "out_dir; relative paths honor $VPFP_OUT)")
+        p.add_argument("--out", default="out",
+                       help="output directory (default: out; relative "
+                            "paths honor $VPFP_OUT)")
     return parser
 
 
@@ -41,7 +41,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = parse_config(text)
-        out_dir = resolve_out_dir(args.out if args.out else config.out_dir)
+        out_dir = resolve_out_dir(args.out)
         with OutputLock(out_dir):
             run_experiment(args.experiment, config, str(out_dir))
     except VpfpError as exc:

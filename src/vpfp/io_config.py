@@ -22,7 +22,7 @@ from .errors import ConfigError, DomainError
 from .linear_theory import InteractionKernel
 from .multiplier import NormSpec
 
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 _KERNEL_CHOICES = ("coulomb", "screened", "custom")
 
 
@@ -33,7 +33,8 @@ class RunConfig:
     Scan lists left empty mean "use the driver's documented default";
     t_final = 0 likewise asks the driver to size its own horizon.  There
     are no lattice keys: each driver sizes its own lattice per cell, at the
-    spacing it fixes for its campaign.
+    spacing it fixes for its campaign.  Construction applies parse_config's
+    range and cross-key checks.  The output directory is not a key.
     """
 
     nu: float = 1e-3
@@ -41,16 +42,9 @@ class RunConfig:
     kernel: str = "coulomb"
     kernel_table: tuple = ()
 
-    norm_s: float = 4.0
-    norm_c: float = 0.025
-    norm_m: int = 2
-    norm_beta: float = 2.0
-
     nu_list: tuple = ()
     k_list: tuple = (1, 2, 4)
     t_final: float = 0.0
-    fit_t_min: float = 0.0
-    fit_t_max: float = 0.0
 
     mode_k: int = 1
     mode_center: float = 0.0
@@ -58,18 +52,18 @@ class RunConfig:
 
     echo_eta_star: float = 12.0
     echo_pump_k: int = 2
-    echo_pump_amp: float = 0.0
-    echo_seed_amp: float = 0.0
 
     threshold_eps_cap: float = 0.3
     threshold_factor: float = 2.0
     threshold_horizon: float = 5.0
     threshold_ratio_tol: float = 1.047
 
-    out_dir: str = "out"
+    def __post_init__(self):
+        _validate(vars(self), {})
 
     def norm_spec(self) -> NormSpec:
-        return NormSpec(s=self.norm_s, c=self.norm_c, m=self.norm_m)
+        """The weighted norms' NormSpec: s = 4, c = 0.025, m = 2."""
+        return NormSpec()
 
     def kernel_object(self, k_max: int) -> InteractionKernel:
         """The configured kernel on the band |k| <= k_max."""
@@ -97,17 +91,11 @@ _SCHEMA = {
                "one of coulomb, screened, custom"),
     "kernel_table": ("float_list", lambda v: all(0.0 <= x < np.inf for x in v),
                      "a list of finite weights >= 0"),
-    "norm_s": ("float", lambda v: 0.0 <= v <= 64.0, "in [0, 64]"),
-    "norm_c": ("float", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "norm_m": ("int", lambda v: 0 <= v <= 32, "an integer in [0, 32]"),
-    "norm_beta": ("float", lambda v: 0.0 <= v <= 64.0, "in [0, 64]"),
     "nu_list": ("float_list", lambda v: all(0.0 < x <= 10.0 for x in v),
                 "a list of values in (0, 10]"),
     "k_list": ("int_list", lambda v: all(1 <= x <= 64 for x in v),
                "a list of integers in [1, 64]"),
     "t_final": ("float", lambda v: 0.0 <= v <= 1e7, "in [0, 1e7]"),
-    "fit_t_min": ("float", lambda v: 0.0 <= v <= 1e7, "in [0, 1e7]"),
-    "fit_t_max": ("float", lambda v: 0.0 <= v <= 1e7, "in [0, 1e7]"),
     "mode_k": ("int", lambda v: v != 0 and abs(v) <= 64,
                "a nonzero integer with |k| <= 64"),
     "mode_center": ("float", lambda v: abs(v) <= 1e4, "in [-1e4, 1e4]"),
@@ -115,16 +103,14 @@ _SCHEMA = {
     "echo_eta_star": ("float", lambda v: 0.0 < v <= 1e4, "in (0, 1e4]"),
     # pump_k = 1 would put the pump on the seed's +/-1 pair
     "echo_pump_k": ("int", lambda v: 2 <= v <= 64, "an integer in [2, 64]"),
-    "echo_pump_amp": ("float", lambda v: 0.0 <= v <= 10.0, "in [0, 10]"),
-    "echo_seed_amp": ("float", lambda v: 0.0 <= v <= 10.0, "in [0, 10]"),
     "threshold_eps_cap": ("float", lambda v: 0.0 < v <= 10.0, "in (0, 10]"),
     "threshold_factor": ("float", lambda v: 1.0 < v <= 100.0, "in (1, 100]"),
     "threshold_horizon": ("float", lambda v: 0.0 < v <= 100.0, "in (0, 100]"),
     "threshold_ratio_tol": ("float", lambda v: 1.0 < v <= 2.0, "in (1, 2]"),
-    "out_dir": ("str", lambda v: len(v) > 0, "a nonempty path"),
 }
 
-assert set(_SCHEMA) == {f.name for f in dataclasses.fields(RunConfig)}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+assert set(_SCHEMA) == set(_DEFAULTS)
 
 
 def _parse_scalar(key: str, kind: str, raw: str, where: str):
@@ -173,44 +159,35 @@ def parse_config(text: str) -> RunConfig:
         if key in values:
             raise ConfigError(
                 f"{where}: duplicate key `{key}` (first set on line {lines[key]})")
-        kind, ok, req = _SCHEMA[key]
-        val = _parse_value(key, kind, raw, where)
-        if not ok(val):
-            raise ConfigError(f"{where}: `{key}` must be {req}, got {raw!r}")
-        values[key] = val
+        values[key] = _parse_value(key, _SCHEMA[key][0], raw, where)
         lines[key] = ln
 
-    cfg = RunConfig(**values)
-    _validate_cross(cfg, lines)
-    return cfg
+    _validate({**_DEFAULTS, **values}, lines)
+    return RunConfig(**values)
 
 
-def _validate_cross(cfg: RunConfig, lines: dict) -> None:
+def _validate(values: dict, lines: dict) -> None:
+    """Range and cross-key checks; errors name the key's line, if it has one."""
     def where(key: str) -> str:
-        return f"line {lines[key]}" if key in lines else f"default `{key}`"
+        return f"line {lines[key]}" if key in lines else "RunConfig"
 
+    # the first offending line is reported first
+    for key in sorted(values, key=lambda k: lines.get(k, 0)):
+        kind, ok, req = _SCHEMA[key]
+        if not ok(values[key]):
+            raise ConfigError(f"{where(key)}: `{key}` must be {req}, "
+                              f"got {_format_value(kind, values[key])!r}")
     # how many entries a custom table needs depends on the campaign's band,
     # which kernel_object checks
-    if cfg.kernel == "custom":
-        if not cfg.kernel_table:
+    if values["kernel"] == "custom":
+        if not values["kernel_table"]:
             raise ConfigError(
-                f"{where('kernel_table')}: custom kernel needs a nonempty "
+                f"{where('kernel')}: custom kernel needs a nonempty "
                 f"kernel_table")
-    elif cfg.kernel_table:
+    elif values["kernel_table"]:
         raise ConfigError(
             f"{where('kernel_table')}: kernel_table is only valid with "
             f"kernel = custom")
-    if cfg.fit_t_max == 0.0 and cfg.fit_t_min > 0.0:
-        raise ConfigError(
-            f"{where('fit_t_min')}: fit_t_min needs fit_t_max; without it "
-            f"the default fit window is used")
-    if cfg.fit_t_max > 0.0 and cfg.fit_t_min > cfg.fit_t_max:
-        raise ConfigError(
-            f"{where('fit_t_min')}: fit window is empty "
-            f"({cfg.fit_t_min!r} > {cfg.fit_t_max!r})")
-    if cfg.t_final > 0.0 and cfg.fit_t_max > cfg.t_final:
-        raise ConfigError(
-            f"{where('fit_t_max')}: fit window ends after t_final")
 
 
 def _format_value(kind: str, val) -> str:

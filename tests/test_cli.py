@@ -92,12 +92,12 @@ class TestMain:
         assert main(["echo", "--config", cfg, "--out", "nested/run"]) == 0
         assert (tmp_path / "nested" / "run" / "summary.json").exists()
 
-    def test_default_out_comes_from_config(self, tmp_path, capsys,
-                                           monkeypatch):
+    def test_default_out_lands_under_env_root(self, tmp_path, capsys,
+                                              monkeypatch):
         monkeypatch.setenv("VPFP_OUT", str(tmp_path))
-        cfg = write_cfg(tmp_path, ECHO_CFG + "out_dir = from_key\n")
+        cfg = write_cfg(tmp_path)
         assert main(["echo", "--config", cfg]) == 0
-        assert (tmp_path / "from_key" / "summary.json").exists()
+        assert (tmp_path / "out" / "summary.json").exists()
 
     def test_run_failure_reports_no_echo_but_succeeds(self, tmp_path):
         # a detector that finds nothing is a reported outcome, not an error

@@ -116,6 +116,10 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             ExperimentSpec(kind="echo", config=RunConfig(),
                            nu_list=(1e-3, -1e-4))
+        # echo reads its verdicts off an ascending sweep
+        for nus in ((1e-3, 1e-9), (1e-3, 1e-3)):
+            with pytest.raises(DomainError, match="strictly increasing"):
+                ExperimentSpec(kind="echo", config=RunConfig(), nu_list=nus)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_frequencies(self, bad):
@@ -565,6 +569,11 @@ class TestOutputs:
     def test_rerun_refuses_version_3_manifest(self, tmp_path):
         # version 3 manifests embed the workers key, which no longer parses
         self.refuses_version(tmp_path, 3)
+
+    def test_rerun_refuses_version_4_manifest(self, tmp_path):
+        # version 4 manifests embed the norm, echo amplitude, fit window and
+        # out_dir keys, which no longer parse
+        self.refuses_version(tmp_path, 4)
 
     def test_in_memory_run_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

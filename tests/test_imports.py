@@ -79,7 +79,7 @@ def test_campaigns_load_no_heavy_scipy_module():
         "from vpfp.experiments import run_experiment\n"
         "from vpfp.io_config import RunConfig\n"
         "run_experiment('echo', RunConfig(nu_list=(1e-3,), echo_eta_star=8.0))\n"
-        "run_experiment('landau', RunConfig(nu_list=(1e-3,), t_final=20.0))\n"
+        "run_experiment('landau', RunConfig(nu_list=(1e-3,)))\n"
         "print('\\n'.join(sorted(sys.modules)))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

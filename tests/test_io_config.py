@@ -57,14 +57,14 @@ class TestParseConfig:
 
     def test_int_key_rejects_float_literal(self):
         with pytest.raises(ConfigError, match="not a valid int"):
-            parse_config("norm_m = 2.0\n")
+            parse_config("mode_k = 1.0\n")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="line 1.*key = value"):
             parse_config("nu 1e-3\n")
 
     def test_custom_kernel_requires_table(self):
-        with pytest.raises(ConfigError, match="custom kernel needs"):
+        with pytest.raises(ConfigError, match="line 1: custom kernel needs"):
             parse_config("kernel = custom\n")
         cfg = parse_config("kernel = custom\nkernel_table = 1.0, 0.25\n")
         w = cfg.kernel_object(k_max=2)
@@ -85,17 +85,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="only valid with"):
             parse_config("kernel_table = 1.0\n")
 
-    def test_empty_fit_window_rejected(self):
-        with pytest.raises(ConfigError, match="fit window is empty"):
-            parse_config("fit_t_min = 5\nfit_t_max = 2\n")
-        # fit_t_min alone would be ignored in favour of the default window
-        with pytest.raises(ConfigError, match="line 1: fit_t_min needs"):
-            parse_config("fit_t_min = 50\n")
-
     @pytest.mark.parametrize("key", [
         "eps_list", "output_stride", "norm_delta", "norm_delta1",
         "norm_sigma", "norm_p", "norm_theta", "norm_m_prime",
-        "k_max", "eta_max", "n_eta", "dt", "workers"])
+        "k_max", "eta_max", "n_eta", "dt", "workers",
+        "norm_s", "norm_c", "norm_m", "norm_beta", "echo_pump_amp",
+        "echo_seed_amp", "fit_t_min", "fit_t_max", "out_dir"])
     def test_removed_key_is_unknown(self, key):
         # keys no driver read were dropped from the schema
         with pytest.raises(ConfigError, match=f"line 2: unknown key `{key}`"):
@@ -103,6 +98,26 @@ class TestParseConfig:
 
 
 class TestRunConfigFields:
+    def test_construction_checks_ranges(self):
+        # a ratio tolerance <= 1 would never stop the threshold bisection
+        with pytest.raises(ConfigError,
+                           match=r"^RunConfig: `threshold_ratio_tol` must be "
+                                 r"in \(1, 2\], got '0.5'$"):
+            RunConfig(nu_list=(1e-4,), threshold_horizon=2.0,
+                      threshold_ratio_tol=0.5)
+        with pytest.raises(ConfigError, match="^RunConfig: `nu_list` must be"):
+            RunConfig(nu_list=(1e-4, -1e-3))
+
+    def test_construction_checks_key_pairs(self):
+        with pytest.raises(ConfigError,
+                           match="^RunConfig: kernel_table is only valid with"):
+            RunConfig(kernel_table=(1.0,))
+        with pytest.raises(ConfigError,
+                           match="^RunConfig: custom kernel needs"):
+            RunConfig(kernel="custom")
+        assert RunConfig(kernel="custom", kernel_table=(1.0,)).kernel_table \
+            == (1.0,)
+
     def test_every_field_is_read_by_the_package(self):
         # a key that no module reads as an attribute changes nothing; the
         # generic getattr in canonical_text does not count as a reader
@@ -118,7 +133,7 @@ class TestRunConfigFields:
 class TestCanonicalText:
     def test_round_trip_and_idempotence(self):
         cfg = parse_config("nu = 0.001\nnu_list = 1e-06, 0.001\n"
-                           "kernel = screened\nout_dir = runs/a\n")
+                           "kernel = screened\n")
         text = canonical_text(cfg)
         again = parse_config(text)
         assert again == cfg
