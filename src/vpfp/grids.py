@@ -3,9 +3,9 @@
 The state h is stored unmixed: rows are integer wavenumbers k in
 [-k_max, k_max], columns are uniform samples of the velocity-frequency
 variable eta in [-eta_max, eta_max).  The time step is tied to the eta
-spacing (dt = d_eta) so that the shear transport step is an exact integer
-column shift per row.  Every datum is real and parity-even, and the flow
-keeps it that way, so the state is stored as real numbers.
+spacing (dt = d_eta) so that collisionless free streaming is an exact
+integer column shift per row.  Every datum is real and parity-even, and
+the flow keeps it that way, so the state is stored as real numbers.
 """
 
 from __future__ import annotations

@@ -174,7 +174,11 @@ def _validate(values: dict, lines: dict) -> None:
     # the first offending line is reported first
     for key in sorted(values, key=lambda k: lines.get(k, 0)):
         kind, ok, req = _SCHEMA[key]
-        if not ok(values[key]):
+        # an int key holds Python or numpy integers, never bools or floats
+        ints = {"int": (values[key],), "int_list": values[key]}.get(kind, ())
+        if not (all(isinstance(v, (int, np.integer))
+                    and not isinstance(v, bool) for v in ints)
+                and ok(values[key])):
             raise ConfigError(f"{where(key)}: `{key}` must be {req}, "
                               f"got {_format_value(kind, values[key])!r}")
     # how many entries a custom table needs depends on the campaign's band,
@@ -193,9 +197,14 @@ def _validate(values: dict, lines: dict) -> None:
 def _format_value(kind: str, val) -> str:
     if kind == "str":
         return str(val)
+
+    def text(x) -> str:
+        # numpy scalars print as the Python ones, which parse_config reads
+        return repr(x.item() if isinstance(x, np.generic) else x)
+
     if kind in ("float_list", "int_list"):
-        return ", ".join(repr(x) for x in val)
-    return repr(val)
+        return ", ".join(text(x) for x in val)
+    return text(val)
 
 
 def canonical_text(cfg: RunConfig) -> str:

@@ -17,11 +17,12 @@ trace S collapses to a function S_ct(dt, k) of the elapsed time only, for
 which a closed form of the exponent exists (s_density_exponent).
 
 Weights are returned as exponents, which stay comparable where the weight
-underflows.  _characteristic is the one place bar_eta is written.  In
-u = exp(nu s) the characteristic is linear, bar_eta = (eta - k/nu) u + k/nu,
-so S and the ghost multiplier (see multiplier) integrate in closed form;
-for nu (t - tau) < 1 the S exponent is regrouped so that it keeps its
-digits.
+underflows.  _characteristic is the one place bar_eta is written: the
+solver's free flow takes the feet of its characteristics from it, and
+their damping from s_general_exponent.  In u = exp(nu s) the
+characteristic is linear, bar_eta = (eta - k/nu) u + k/nu, so S and the
+ghost multiplier (see multiplier) integrate in closed form; for
+nu (t - tau) < 1 the S exponent is regrouped so that it keeps its digits.
 """
 
 from __future__ import annotations

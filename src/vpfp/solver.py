@@ -6,24 +6,27 @@ frame).  Every datum is real and parity-even, h(-k, -eta) = h(k, eta), and
 each sub-flow maps such states to such states, so h is stored as real
 numbers and every lattice-sized array of the step is real; the n_k-long
 moment vectors of the closure stay complex.  One time step of size
-dt = d_eta composes five exact or Runge-Kutta sub-flows symmetrically:
+dt = d_eta composes the paper's collisional free-streaming semigroup S and
+the coupling terms N symmetrically:
 
-    OU(dt/2) o N(dt/2) o T(dt) o N(dt/2) o OU(dt/2)
+    N(dt/2) o S(dt) o N(dt/2)
 
-  * T: free streaming is an exact integer column shift per row,
-    h(k, eta) <- h(k, eta + k dt).
-  * OU: the drift-diffusion flow nu(-eta^2 - eta d_eta) is exact on
-    characteristics, h(k, eta) <- h(k, e^(-nu dt) eta) exp(expm1(-2 nu dt)
-    eta^2 / 2), resampled by monotone cubic interpolation plus an
-    equilibrium-defect correction that makes Maxwellian-profile rows and
-    the eta = 0 column exact.  The contracted points, their intervals and
-    local coordinates, the growth row and the defect row depend only on
-    (grid, nu, dt) and form an OU plan; each substep computes only
-    the PCHIP slopes of its data, and only on the columns between the
-    first and last nonzero ones, widened by the interpolant's reach of 3;
-    every other point is +0.0.  The resampler repeats scipy's
-    PchipInterpolator operation for operation, so a substep gives the same
-    bytes as resampling with scipy.
+  * S: free streaming together with the drift-diffusion flow
+    nu(-eta^2 - eta d_eta) is exact on characteristics,
+    h(k, eta) <- h(k, foot) S(dt; k, foot): the foot is semigroup's
+    _characteristic run back over dt, and S(dt; k, foot), the exponential
+    of s_general_exponent, is the damping along it.  The row is read at
+    the foot by six-point Lagrange interpolation, which carries
+    polynomials of degree 5 exactly, plus an equilibrium-defect correction
+    that makes Maxwellian rows and the mass entry h(0, 0) exact.  The node
+    indices and the weights, with the damping folded in, depend only on
+    (grid, nu, dt) and form a free-flow plan.  A point reads the six
+    columns around its foot, so only the points whose nodes reach the
+    columns from the first to the last nonzero one are computed; every
+    other point is +0.0.  Beyond the window the rows read as zero, and a
+    step that would carry more than 1e-12 of the state's norm off the
+    window raises.  At nu = 0 the foot is eta + k dt and S is an exact
+    integer column shift per row.
   * N: the coupling terms (self-consistent force and the moment-feedback
     corrections that give the collision operator its local conservation
     laws) integrated with classical RK4, moments recomputed every stage.
@@ -38,7 +41,7 @@ dt = d_eta composes five exact or Runge-Kutta sub-flows symmetrically:
 
 The step is a function of the state and a per-run plan.  A Stepper for one
 (grid, nu, kernel row, mode) holds every array the step reads that depends
-only on those four (the OU plan, the eta rows, the kernel rows, the
+only on those four (the free-flow plan, the eta rows, the kernel rows, the
 x-profile matrix and the convolution index, all read-only) and every
 lattice-sized buffer its stages write.  step takes its stepper from one
 cache, the only plan cache of the module.  The readouts take the grid's
@@ -46,7 +49,7 @@ nu = 0 free-mode stepper from it: a recorded density is the state's eta = 0
 column and its force the force row times it, so only full mode's RK4
 stages and compute_moments run the closure.  The stepper is the only
 implementation of the sub-flows and the guards, so the closure, the RHS,
-the resampler and the symmetrization each exist once.  The buffers keep
+the free flow and the symmetrization each exist once.  The buffers keep
 each operation's operands and order, so they change no byte of any result.
 
 Convolutions in k are exact direct sums over the truncated band.  The
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -76,6 +79,7 @@ from .errors import (
 )
 from .grids import BOUNDARY_SENTINEL, PhaseGrid, SpectralField, mirrored
 from .linear_theory import InteractionKernel, mu_hat
+from .semigroup import _characteristic, s_general_exponent
 
 # Positivity floor for the reconstructed temperature profile.  The density
 # profile clears it whenever sup|rho| < CLOSURE_SUP_BOUND <= 1 - the floor.
@@ -306,209 +310,175 @@ def _check_init_edge(f: SpectralField) -> None:
                             "the window edge; enlarge eta_max")
 
 
+def _check_dropped(lost: np.ndarray, y: np.ndarray) -> None:
+    """Raise AliasingError when the amplitude lost, what a step carries of
+    the state y off the window, holds more than 1e-12 of y's L2 norm."""
+    dropped = math.sqrt(float((lost * lost).sum()))
+    # y's norm is needed only when something was lost
+    if dropped > 0.0:
+        norm = math.sqrt(float((y * y).sum()))
+        if dropped > 1e-12 * norm:
+            raise AliasingError(
+                f"free streaming dropped amplitude {dropped:.3e} "
+                f"({dropped / norm:.2e} of the state); enlarge eta_max")
+
+
 def transport_step(d: np.ndarray, g: PhaseGrid) -> np.ndarray:
     """Exact shear transport h(k, eta) <- h(k, eta + k dt) of the state d on
-    the grid g as column shifts.
+    the grid g as column shifts: the collisionless free flow S(dt).
 
-    Row k shifts by k columns into a new array, which is returned; one call
-    per time step.  Raises AliasingError when the amplitude falling off the
-    window is significant.
+    Row k shifts by k columns into a new array, which is returned.  Raises
+    AliasingError when the amplitude falling off the window is significant.
     """
     n = g.n_eta
-    sq = d * d
-    norm = math.sqrt(float(sq.sum()))
-    out = np.empty_like(d)
-    dropped_sq = 0.0
+    out = np.zeros_like(d)
+    lost = []
     for i, k in enumerate(range(-g.k_max, g.k_max + 1)):
-        row = d[i]
-        if k > 0:
-            dropped_sq += float(sq[i, :k].sum())
-            out[i, :n - k] = row[k:]
-            out[i, n - k:] = 0.0
-        elif k < 0:
-            dropped_sq += float(sq[i, n + k:].sum())
-            out[i, -k:] = row[:n + k]
-            out[i, :-k] = 0.0
+        if k >= 0:
+            out[i, :n - k] = d[i, k:]
+            lost.append(d[i, :k])
         else:
-            out[i] = row
-    if norm > 0 and math.sqrt(dropped_sq) > 1e-12 * norm:
-        raise AliasingError(
-            f"transport dropped amplitude {math.sqrt(dropped_sq):.3e} "
-            f"({math.sqrt(dropped_sq) / norm:.2e} of the state); enlarge eta_max")
+            out[i, -k:] = d[i, :n + k]
+            lost.append(d[i, n + k:])
+    _check_dropped(np.concatenate(lost), d)
     return out
 
 
-# Rows are resampled in blocks of at most this many values.  A block's
-# dozen temporaries then stay in a 2 MB L2 cache: on 33 x 2048 (66 stacked
-# rows) blocks of 8 rows ran a resample in ~5 ms against ~11 ms unblocked
-# (2-core Xeon, one BLAS thread); blocks of 12 rows were as slow as none.
-_BLOCK_VALUES = 1 << 14
+# Offsets, from the cell that holds a foot, of the six nodes the value at
+# the foot is interpolated from.
+_NODES = range(-2, 4)
 
 
-def _sign(x: float) -> float:
-    """numpy.sign of a float, NaN for NaN."""
-    return (x > 0) - (x < 0) if x == x else math.nan
-
-
-def _edge_slopes(h0: float, h1: float, m0: np.ndarray,
-                 m1: np.ndarray) -> list[float]:
-    """Moler's one-sided three-point end slope of each row, limited to keep
-    the shape.  A block has few rows, so each row goes through Python
-    floats: scipy's IEEE operations in scipy's order, without numpy's
-    per-call cost on columns a few values long."""
+def _lagrange_weights(s: np.ndarray) -> np.ndarray:
+    """The Lagrange weights of the nodes -2 ... 3 at s in [0, 1), stacked on
+    a new leading axis; at s = 0 they are exactly 0, 0, 1, 0, 0, 0."""
     out = []
-    for a, b in zip(m0.tolist(), m1.tolist()):
-        d = ((2 * h0 + h1) * a - h0 * b) / (h0 + h1)
-        s = _sign(a)
-        if _sign(d) != s:
-            out.append(0.0)
-        elif s != _sign(b) and abs(d) > 3. * abs(a):
-            out.append(3. * a)
-        else:
-            out.append(d)
-    return out
+    for m in _NODES:
+        num, den = 1.0, 1.0
+        for j in _NODES:
+            if j != m:
+                num = num * (s - j)
+                den *= m - j
+        out.append(num / den)
+    return np.stack(out)
 
 
 @dataclass(frozen=True)
-class _ContractedPchip:
-    """Monotone cubic (Fritsch-Carlson / Fritsch-Butland PCHIP) resampling
-    of rows sampled at fixed breakpoints x onto fixed increasing points xi.
+class _FreeFlow:
+    """The collisional free streaming S(dt) of one (grid, nu, dt),
 
-    Everything that depends only on x and xi is held here; a call computes
-    the node slopes of the data and evaluates.  The arithmetic repeats
-    scipy's PchipInterpolator(x, y, axis=1)(xi) operation for operation, so
-    the result is the same to the bit.
+        h(k, eta) <- h(k, foot) exp(s_general_exponent(dt, 0, k, foot, nu)),
+
+    where foot = e^(-nu dt) eta - k expm1(-nu dt) / nu is the point the
+    characteristic through eta left a step earlier (semigroup's
+    _characteristic at -dt) and the exponential is the exact damping along
+    it.  With nu = 0 the foot is eta + k dt, a whole number of columns, and
+    the flow is transport_step's exact shift; the plan then holds no arrays.
+
+    h(k, foot) is interpolated through the six nodes around the foot, so
+    polynomials of degree 5 are carried exactly.  base is the flat index of
+    each point's first node and weights the six Lagrange weights times the
+    damping.  Near the window edge the nodes move inside the window and a
+    node outside it gets weight 0: the rows are zero beyond the window.
+    first and last are the least and largest first-node column over the
+    rows at each point.  defect is the exact flow of the Maxwellian row
+    minus its interpolation: adding y(k, 0) times it makes the k = 0 row's
+    mass entry and every Maxwellian row exact.  drop is the flat index of
+    every entry the flow carries off the window [-eta_max, eta_max), and
+    fade the damping it has on the way.
     """
 
-    idx: np.ndarray   # interval of each xi: x[i] <= xi < x[i + 1], in [0, n - 2]
-    s: np.ndarray     # local coordinate xi - x[idx], and its powers
-    s2: np.ndarray
-    s3: np.ndarray
-    h: np.ndarray     # breakpoint spacings
-    w1: np.ndarray    # harmonic-mean weights at the interior breakpoints
-    w2: np.ndarray
-    w12: np.ndarray
+    grid: PhaseGrid
+    base: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    first: np.ndarray | None = None
+    last: np.ndarray | None = None
+    drop: np.ndarray | None = None
+    fade: np.ndarray | None = None
+    defect: np.ndarray | None = None
 
     @classmethod
-    def build(cls, x: np.ndarray, xi: np.ndarray) -> "_ContractedPchip":
-        n = x.shape[0]
-        idx = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, n - 2)
-        s = xi - x[idx]
-        s2 = s * s
-        h = x[1:] - x[:-1]
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        return cls(*(_read_only(a) for a in
-                     (idx, s, s2, s2 * s, h, w1, w2, w1 + w2)))
+    def build(cls, grid: PhaseGrid, nu: float, dt: float) -> "_FreeFlow":
+        if nu == 0.0:
+            return cls(grid)
+        n = grid.n_eta
+        k = grid.k_values[:, None]
+        eta = grid.eta
+        foot = _characteristic(-dt, k, eta, nu)
+        damp = np.exp(s_general_exponent(dt, 0.0, k, foot, nu))
+        u = foot / grid.d_eta + grid.i_zero
+        cell = np.floor(u)
+        lagrange = _lagrange_weights(u - cell)
+        start = cell.astype(np.intp) + _NODES[0]
+        first = np.clip(start, 0, n - len(_NODES))
+        # the Lagrange index of each of the nodes first ... first + 5
+        src = first - start + np.arange(len(_NODES))[:, None, None]
+        inside = (src >= 0) & (src < len(_NODES))
+        weights = np.where(inside, np.take_along_axis(
+            lagrange, np.clip(src, 0, len(_NODES) - 1), axis=0), 0.0) * damp
+        image = _characteristic(dt, k, eta, nu)
+        gone = (image < eta[0]) | (image >= grid.eta_max)
+        fade = np.exp(s_general_exponent(dt, 0.0, k, eta, nu))
+        plan = cls(grid, *(_read_only(a) for a in (
+            first + n * np.arange(grid.n_k)[:, None], weights,
+            first.min(axis=0), first.max(axis=0), np.flatnonzero(gone),
+            fade[gone])))
+        defect = (mu_hat(foot) * damp
+                  - plan.resample(np.tile(mu_hat(eta), (grid.n_k, 1))))
+        return replace(plan, defect=_read_only(defect))
 
-    def __call__(self, y: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-        """Values at xi of the PCHIP interpolants of the rows of y, as a new
-        array; work, when given, is a (5, y.size) scratch block for the
-        slopes and the power sum.
+    def resample(self, y: np.ndarray, term: np.ndarray | None = None,
+                 index: np.ndarray | None = None) -> np.ndarray:
+        """The interpolated and damped values sum_j weights[j] y[base + j]
+        as a new array, without the defect term; term and index, when
+        given, are float scratch of y's shape and integer scratch of
+        y.size entries.
 
-        A value on interval idx reads y only at idx - 1 ... idx + 2, and
-        where those are all zero the power sum's 0.0 seed makes it +0.0.  So
-        only the columns a ... b - 1 from the first to the last nonzero one
-        are resampled, widened by 3 on each side, onto the points p0 ... p1
-        - 1 on intervals a ... b - 2; every other point gets +0.0.  A window
-        end node reads only zeros, so its one-sided slope is zero like its
-        full one.
+        A point reads y only at its nodes, and where those are all zero its
+        value is zero.  So only the points p0 ... p1 - 1 whose nodes, on
+        some row, reach the columns from the first to the last nonzero one
+        are computed; every other point is +0.0.  The six products are
+        summed in node order.
         """
         m, n = y.shape
-        n_xi = self.idx.shape[0]
         cols = np.flatnonzero(y.any(axis=0))
-        if cols.size == 0:
-            return np.zeros((m, n_xi))
-        a, b = max(cols[0] - 3, 0), min(cols[-1] + 4, n)
-        p0, p1 = self.idx.searchsorted((a, b - 1))
-        y = y[:, a:b]
-        i = self.idx[p0:p1] - a
-        n_blocks = -(-m * (b - a) // _BLOCK_VALUES)
-        block = -(-m // n_blocks)
-        if work is None:
-            work = np.empty((5, block * n))
-        out = (np.empty if p1 - p0 == n_xi else np.zeros)((m, n_xi))
-        for r in range(0, m, block):
-            out[r:r + block, p0:p1] = self._rows(y[r:r + block], a, b, p0, p1,
-                                                 i, work)
+        p0 = p1 = 0
+        if cols.size:
+            p0 = int(self.last.searchsorted(cols[0] + 1 - len(_NODES)))
+            p1 = int(self.first.searchsorted(cols[-1], side="right"))
+        out = (np.empty if p1 - p0 == n else np.zeros)((m, n))
+        size = m * max(p1 - p0, 0)
+        if size == 0:
+            return out
+        if term is None:
+            term, index = np.empty(size), np.empty(size, dtype=np.intp)
+        t = term.reshape(-1)[:size].reshape(m, -1)
+        idx = index[:size].reshape(m, -1)
+        np.copyto(idx, self.base[:, p0:p1])
+        flat = y.reshape(-1)
+        acc = out[:, p0:p1]
+        for j in range(len(_NODES)):
+            # base + j stays on the point's row, and "clip" takes into t
+            # unbuffered
+            np.take(flat[j:], idx, out=t, mode="clip")
+            if j == 0:
+                np.multiply(t, self.weights[0, :, p0:p1], out=acc)
+            else:
+                t *= self.weights[j, :, p0:p1]
+                acc += t
         return out
 
-    def _rows(self, y: np.ndarray, a, b, p0, p1, i: np.ndarray,
-              work: np.ndarray) -> np.ndarray:
-        """The window's values, as a view of work: y holds columns a ... b -
-        1, and i is the interval of each point p0 ... p1 - 1, counted from
-        a.  Each of work's rows holds one array at a time."""
-        m, w = y.shape
-
-        def buf(row: int, cols: int) -> np.ndarray:
-            return work[row, :m * cols].reshape(m, cols)
-
-        h = self.h[a:b - 1]
-        mk = np.subtract(y[:, 1:], y[:, :-1], out=buf(0, w - 1))
-        mk /= h
-        smk = np.sign(mk, out=buf(1, w - 1))
-        # a node takes the harmonic mean only between two slopes of one
-        # strict sign; a sign change or a zero slope on either side gives 0
-        monotone = np.multiply(smk[:, 1:], smk[:, :-1], out=buf(2, w - 2)) > 0
-        # flat stretches (underflowed tails) make the harmonic mean overflow
-        # harmlessly; those nodes are not monotone and take 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inner = np.divide(self.w1[a:b - 2], mk[:, :-1], out=buf(1, w - 2))
-            inner += np.divide(self.w2[a:b - 2], mk[:, 1:], out=buf(2, w - 2))
-            inner /= self.w12[a:b - 2]
-            np.divide(1.0, inner, out=inner)
-        dk = buf(3, w)
-        dk[:, 1:-1] = 0.0
-        np.copyto(dk[:, 1:-1], inner, where=monotone)
-        h0, h1, h_1, h_2 = h[[0, 1, -1, -2]].tolist()
-        dk[:, 0] = _edge_slopes(h0, h1, mk[:, 0], mk[:, 1])
-        dk[:, -1] = _edge_slopes(h_1, h_2, mk[:, -1], mk[:, -2])
-        # cubic Hermite coefficients per interval, highest power first
-        t = np.add(dk[:, :-1], dk[:, 1:], out=buf(1, w - 1))
-        t -= np.multiply(2, mk, out=buf(2, w - 1))
-        t /= h
-        c0 = np.divide(t, h, out=buf(2, w - 1))
-        c1 = np.subtract(mk, dk[:, :-1], out=buf(4, w - 1))
-        c1 /= h
-        c1 -= t
-        # the leading 0.0 + is the power sum's seed; it turns -0.0 into 0.0;
-        # the indices are in range, and "clip" takes into out unbuffered
-        out = y.take(i, axis=1, out=buf(0, p1 - p0), mode="clip")
-        np.add(0.0, out, out=out)
-        term = buf(1, p1 - p0)
-        for c, s in ((dk, self.s), (c1, self.s2), (c0, self.s3)):
-            out += np.multiply(c.take(i, axis=1, out=term, mode="clip"),
-                               s[p0:p1], out=term)
-        return out
-
-
-@dataclass(frozen=True)
-class _OUPlan:
-    """The drift-diffusion flow over one (grid, nu, dt): the resampler onto
-    xi = e^(-nu dt) eta, the growth row and the equilibrium-defect row."""
-
-    resample: _ContractedPchip
-    growth: np.ndarray           # exp(expm1(-2 nu dt) eta^2 / 2)
-    defect: np.ndarray           # mu - P_mu(xi) * growth
-    i_zero: int
-
-    @classmethod
-    def build(cls, grid: PhaseGrid, nu: float, dt: float) -> "_OUPlan":
-        eta = grid.eta
-        resample = _ContractedPchip.build(eta, math.exp(-nu * dt) * eta)
-        growth = np.exp(0.5 * np.expm1(-2.0 * nu * dt) * eta ** 2)
-        mu = mu_hat(eta)
-        defect = mu - resample(mu[None, :])[0] * growth
-        return cls(resample, _read_only(growth), _read_only(defect),
-                   grid.i_zero)
-
-    def __call__(self, y: np.ndarray, scratch: np.ndarray | None = None,
-                 work: np.ndarray | None = None) -> np.ndarray:
-        """resample(y) * growth + y(k, 0) * defect as a new array; scratch,
-        when given, holds the defect term, and work the resampler's."""
-        out = self.resample(y, work)
-        out *= self.growth
-        out += np.multiply(y[:, self.i_zero, None], self.defect, out=scratch)
+    def __call__(self, y: np.ndarray, term: np.ndarray | None = None,
+                 index: np.ndarray | None = None) -> np.ndarray:
+        """S(dt) of the state y, resample(y) + y(k, 0) defect, as a new
+        array; term and index are resample's scratch.  Raises
+        AliasingError, before anything is computed, when the amplitude the
+        flow carries off the window is significant."""
+        if self.base is None:
+            return transport_step(y, self.grid)
+        _check_dropped(y.reshape(-1).take(self.drop) * self.fade, y)
+        out = self.resample(y, term, index)
+        out += np.multiply(y[:, self.grid.i_zero, None], self.defect, out=term)
         return out
 
 
@@ -529,9 +499,9 @@ class Stepper:
     the eta rows of the coupling RHS and the two Maxwellian-profile rows of
     its rank-1 terms, the kernel's force and energy rows, the matrix taking
     band coefficients to their real spatial profile on an oversampled x
-    grid, the convolution index and the OU plan of a half step.  Every plan
-    array is read-only.  The buffers hold the RK4 stages, the stacked
-    coupling product, the OU resampler's slopes and power sum and the
+    grid, the convolution index and the free-flow plan of a step.  Every
+    plan array is read-only.  The buffers hold the RK4 stages, the stacked
+    coupling product, the free flow's node indices and terms and the
     guards' scratch.  No buffer carries anything
     from one call to the next, so fields that share a stepper give the
     bytes each gives alone; one stepper serves one thread at a time.
@@ -565,21 +535,18 @@ class Stepper:
         self.eye = _read_only(np.eye(n))
         self.conv_index = _read_only((idx[:, None] - idx[None, :]) + n - 1)
         self.band = slice(n // 2, n // 2 + n)
-        self.ou = _OUPlan.build(grid, nu, self.half_dt) if nu > 0 else None
+        self.flow = _FreeFlow.build(grid, nu, grid.dt)
         # zero-bordered coefficient rows the convolution matrices gather from
         self._pad_rho = np.zeros(2 * n - 1)
         self._pad_m1 = np.zeros(2 * n - 1, dtype=complex)
         shape = (n, n_eta)
-        # two scratch blocks for the guards, the OU defect term and the
-        # RHS's stencil and rank-1 terms
+        # two scratch blocks for the guards, the free flow's terms and the
+        # RHS's stencil and rank-1 terms, and the free flow's node indices
         self._tmp, self._aux = np.empty((2,) + shape)
-        # the OU resampler's five rows and the RK4 stages (three, and the
-        # stacked product's three in full mode) never run at once, so they
-        # share one work block
-        n_work = max(5 if nu > 0 else 0, {"full": 6, "linear": 3}.get(mode, 0))
-        work = np.empty((n_work,) + shape)
-        if self.ou is not None:
-            self._ou_work = work[:5].reshape(5, n * n_eta)
+        self._index = np.empty(n * n_eta, dtype=np.intp) if nu > 0 else None
+        # the RK4 stages (three, and the stacked product's three in full
+        # mode)
+        work = np.empty(({"full": 6, "linear": 3}.get(mode, 0),) + shape)
         if mode != "free":
             self._acc, self._k, self._stage = work[:3]
         if mode == "full":
@@ -738,21 +705,17 @@ class Stepper:
         self.rhs_full(y, rho, m1, m_t, e_field, out)
 
     def advance(self, field: SpectralField) -> StepDiagnostics:
-        """One time step of the field; see step.
+        """One time step of the field, N(dt/2) o S(dt) o N(dt/2) and the
+        guards; see step.
 
         Every substep writes a new array or a buffer, never the field's
         data, which is replaced, with the time, only after every guard has
         passed: a step that raises leaves the field as it was, and an array
         the field held before keeps its bytes.
         """
-        y = field.data
-        if self.ou is not None:
-            y = self.ou(y, self._tmp, self._ou_work)
+        y = self.rk4_substep(field.data)
+        y = self.flow(y, self._tmp, self._index)
         y = self.rk4_substep(y)
-        y = transport_step(y, self.grid)
-        y = self.rk4_substep(y)
-        if self.ou is not None:
-            y = self.ou(y, self._tmp, self._ou_work)
         defect, edge_ratio = self._symmetrize(y)
         field.data = y
         field.time += self.grid.dt
@@ -800,8 +763,8 @@ def _stepper(grid: PhaseGrid, w: InteractionKernel, nu: float = 0.0,
              mode: str = "free") -> Stepper:
     """The cached stepper, keyed on the whole grid, the kernel's row values,
     nu and mode.  The readouts, which depend on the grid and the kernel
-    only, use the nu = 0 free-mode stepper, which holds no OU plan and no
-    RK4 buffers."""
+    only, use the nu = 0 free-mode stepper, whose free flow holds no plan
+    arrays and which has no RK4 buffers."""
     w_row = tuple(w(k) if k != 0 else 0.0
                   for k in range(-grid.k_max, grid.k_max + 1))
     return _cached_stepper(grid, w_row, nu, mode)
@@ -811,11 +774,14 @@ def step(field: SpectralField, nu: float, w: InteractionKernel,
          mode: str = "full") -> StepDiagnostics:
     """Advance one full time step and report its guard readings.
 
-    The step composes OU(dt/2) o N(dt/2) o T(dt) o N(dt/2) o OU(dt/2), then
-    rejects a non-finite state, averages the state with its mirror after
-    checking the reality drift, and checks the edge sentinel.  It runs the
-    cached stepper of (grid, nu, kernel, mode).  A step that raises leaves
-    the field as it was.
+    The step composes N(dt/2) o S(dt) o N(dt/2): RK4 on the coupling terms
+    over half a step on either side of one application of the collisional
+    free streaming S(dt) (free mode takes S(dt) alone).  It then rejects a
+    non-finite state, averages the state with its mirror after checking
+    the reality drift, and checks the edge sentinel.  It runs the cached
+    stepper of (grid, nu, kernel, mode).  A step that raises leaves the
+    field as it was; S raises AliasingError when it would carry more than
+    1e-12 of the state's norm off the window.
     """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")

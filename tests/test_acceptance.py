@@ -22,7 +22,7 @@ from vpfp.linear_theory import InteractionKernel
 from vpfp.multiplier import check_propM
 from vpfp.semigroup import (check_propS_bounds, eta_ct, s_density_exponent,
                             s_general_exponent)
-from vpfp.solver import InitialData, Mode, _OUPlan, init_state, run_simulation
+from vpfp.solver import InitialData, Mode, _FreeFlow, init_state, run_simulation
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> str:
@@ -108,25 +108,43 @@ def test_02_multiplier_certificate():
 def test_03_drift_diffusion_propagator():
     t0 = time.perf_counter()
 
-    # Maxwellian-profile rows: per-step relative deviation over 20 steps
+    # the step's free flow S(dt): on the k = 0 row the drift-diffusion
+    # flow, on the others the collisional free streaming along the
+    # characteristic; its closed form reads the datum at the foot and damps
+    # it by S's exponent
+    def foot(k, eta, nu, dt):
+        return np.exp(-nu * dt) * eta - k * np.expm1(-nu * dt) / nu
+
+    def closed(datum, k, eta, nu, dt):
+        e = foot(k, eta, nu, dt)
+        return datum(e) * np.exp(s_general_exponent(dt, 0.0, k, e, nu))
+
+    def gauss(e):
+        return np.exp(-e ** 2 / 2.0)
+
+    # Maxwellian rows: one step sends every row to its closed-form image,
+    # and the k = 0 row is a fixed point, checked over 20 steps
     g = PhaseGrid(k_max=2, eta_max=16.0, n_eta=256, dt=0.125)
-    f = SpectralField.zeros(g)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(g.n_k)
-    f.data = np.outer(coeffs, np.exp(-g.eta ** 2 / 2.0))
-    scale = float(np.max(np.abs(f.data)))
-    worst_inv = 0.0
-    ou = _OUPlan.build(g, 0.3, 0.7)
+    maxwellian = np.outer(coeffs, gauss(g.eta))
+    scale = float(np.max(np.abs(maxwellian)))
+    flow = _FreeFlow.build(g, 0.3, 0.7)
+    image = coeffs[:, None] * closed(gauss, g.k_values[:, None], g.eta,
+                                     0.3, 0.7)
+    worst_inv = float(np.max(np.abs(flow(maxwellian) - image))) / scale
+    f = SpectralField.zeros(g)
+    f.data[g.k_index(0)] = maxwellian[g.k_index(0)]
     for _ in range(20):
         before = f.data.copy()
-        f.data = ou(f.data)
+        f.data = flow(f.data)
         worst_inv = max(worst_inv,
                         float(np.max(np.abs(f.data - before))) / scale)
 
     # generic state: the closed form is pinned to a method-of-lines
-    # integration at 1e-12 on a mid-size lattice, then the lattice step is
-    # held to the closed form at 1e-8 on a fine one (resampling loses order
-    # at extrema, hence the fine lattice)
+    # integration at 1e-12 on a mid-size lattice, on the k = 0 and k = 1
+    # rows, then the lattice step is held to the closed form at 1e-8 on the
+    # coarsest lattice that meets it 10 times over
     nu, dt = 0.1, 0.1
 
     def datum(eta):
@@ -135,50 +153,49 @@ def test_03_drift_diffusion_propagator():
         return (np.exp(-(eta - 2.0) ** 2 / 2.0)
                 + 0.5 * np.exp(-(eta + 0.5) ** 2 / 3.0))
 
-    def closed(eta):
-        shrink = np.exp(-nu * dt)
-        return datum(shrink * eta) * np.exp(
-            0.5 * np.expm1(-2.0 * nu * dt) * eta ** 2)
-
     gm = PhaseGrid(k_max=1, eta_max=12.0, n_eta=2400, dt=0.01)
     om = 2.0 * np.pi * np.fft.fftfreq(gm.n_eta, d=gm.d_eta)
+    mol_err = 0.0
+    for k in (0, 1):
+        def rhs(_t, y, k=k):
+            dy = np.fft.ifft(1j * om * np.fft.fft(y)).real
+            return k * dy + nu * (-gm.eta ** 2 * y - gm.eta * dy)
 
-    def rhs(_t, y):
-        dy = np.fft.ifft(1j * om * np.fft.fft(y)).real
-        return nu * (-gm.eta ** 2 * y - gm.eta * dy)
+        sol = solve_ivp(rhs, (0.0, dt), datum(gm.eta), rtol=1e-12,
+                        atol=1e-15, t_eval=[dt], method="DOP853")
+        mol_err = max(mol_err, float(np.max(np.abs(
+            sol.y[:, -1] - closed(datum, k, gm.eta, nu, dt)))))
 
-    sol = solve_ivp(rhs, (0.0, dt), datum(gm.eta), rtol=1e-12, atol=1e-15,
-                    t_eval=[dt], method="DOP853")
-    mol_err = float(np.max(np.abs(sol.y[:, -1] - closed(gm.eta))))
-
-    n_fine = 153_600
+    n_fine = 484
     gf = PhaseGrid(k_max=1, eta_max=12.0, n_eta=n_fine, dt=24.0 / n_fine)
     ff = SpectralField.zeros(gf)
-    ff.data[gf.k_index(1)] = datum(gf.eta)
-    ff.data = _OUPlan.build(gf, nu, dt)(ff.data)
-    step_err = float(np.max(np.abs(ff.data[gf.k_index(1)] - closed(gf.eta))))
+    ff.data[gf.k_index(0)] = ff.data[gf.k_index(1)] = datum(gf.eta)
+    ff.data = _FreeFlow.build(gf, nu, dt)(ff.data)
+    step_err = max(float(np.max(np.abs(
+        ff.data[gf.k_index(k)] - closed(datum, k, gf.eta, nu, dt))))
+        for k in (0, 1))
 
-    # mass column: bit-identical through repeated steps
+    # mass entry h(0, 0): bit-identical through repeated steps
     fr = SpectralField.zeros(g)
-    fr.data = (rng.standard_normal(fr.data.shape)
-               * np.exp(-g.eta ** 2 / 8.0)[None, :])
-    col0 = fr.data[:, g.i_zero].copy()
+    fr.data[g.k_index(0)] = (rng.standard_normal(g.n_eta)
+                             * np.exp(-g.eta ** 2 / 4.0))
+    mass = fr.data[g.k_index(0), g.i_zero]
     mass_exact = True
-    ou = _OUPlan.build(g, 0.2, 0.5)
+    flow = _FreeFlow.build(g, 0.2, 0.5)
     for _ in range(10):
-        fr.data = ou(fr.data)
+        fr.data = flow(fr.data)
         mass_exact = mass_exact and bool(
-            np.array_equal(fr.data[:, g.i_zero], col0))
+            fr.data[g.k_index(0), g.i_zero] == mass)
 
     elapsed = time.perf_counter() - t0
     oracle_gap = step_err + mol_err
     ok = (worst_inv < 1e-12 and mol_err < 1e-12 and oracle_gap < 1e-8
           and mass_exact)
-    detail = (f"Maxwellian rows move {worst_inv:.1e} per step (< 1e-12), "
-              f"generic state within {oracle_gap:.1e} of the method-of-lines "
-              f"oracle (< 1e-8; closed-form pin {mol_err:.1e}, lattice step "
-              f"{step_err:.1e}), mass column bit-identical = {mass_exact}, "
-              f"{elapsed:.1f} s")
+    detail = (f"Maxwellian rows off their closed form by {worst_inv:.1e} "
+              f"per step (< 1e-12), generic state within {oracle_gap:.1e} "
+              f"of the method-of-lines oracle (< 1e-8; closed-form pin "
+              f"{mol_err:.1e}, lattice step {step_err:.1e}), mass entry "
+              f"bit-identical = {mass_exact}, {elapsed:.1f} s")
     assert ok, _verdict(3, "drift-diffusion propagator", ok, detail)
     _verdict(3, "drift-diffusion propagator", ok, detail)
 

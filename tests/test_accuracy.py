@@ -70,24 +70,24 @@ def landau_discrepancy(d_eta, nu=1e-3, eps=1e-3):
 
 
 class TestFreeFlowAgainstS:
-    # measured 9.1e-3, 1.9e-3 and 9.0e-4 (nu = 1e-3, T = 20); bounds 25%
+    # measured 3.6e-5, 1.2e-6 and 3.7e-8 (nu = 1e-3, T = 20); bounds 25%
     # above
-    BOUNDS = (1.14e-2, 2.4e-3, 1.13e-3)
+    BOUNDS = (4.5e-5, 1.5e-6, 4.7e-8)
 
     def test_error_at_each_spacing(self, free_errors):
         for d, err, bound in zip(FREE_SPACINGS, free_errors, self.BOUNDS):
             assert err < bound, (d, err)
 
     def test_observed_order(self, free_errors):
-        # measured orders 2.3 and 1.1
+        # measured orders 4.9 and 5.0: one six-point resample per step
         orders = [math.log2(a / b) for a, b in zip(free_errors,
                                                     free_errors[1:])]
-        assert min(orders) > 0.9, orders
+        assert min(orders) > 4.5, orders
 
 
 class TestLinearModeAgainstDensityEquation:
     def test_discrepancy_and_its_ratio_under_halving(self):
         coarse, fine = landau_discrepancy(0.125), landau_discrepancy(0.0625)
-        # measured 1.95e-5 and a ratio 2.3; bounds 25% and 0.3 off
-        assert coarse < 2.45e-5
-        assert coarse / fine > 2.0
+        # measured 1.35e-8 and a ratio 32; bounds 25% and 7 off
+        assert coarse < 1.7e-8
+        assert coarse / fine > 25.0

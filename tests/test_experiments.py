@@ -16,7 +16,7 @@ import pytest
 
 from csv_reader import read_csv
 from vpfp import experiments, solver
-from vpfp.errors import ConfigError, DomainError, HorizonError
+from vpfp.errors import AliasingError, ConfigError, DomainError, HorizonError
 from vpfp.experiments import (
     _CLASSIFIER_FLOOR,
     _D_ETA,
@@ -193,9 +193,12 @@ class TestDissipationScan:
     def test_window_escape_converts_to_horizon_error(self):
         w = RunConfig().kernel_object(k_max=2)
         # true half life at this cell is ~ 80, so the sized window is
-        # outrun by the sliding content before any crossing
-        with pytest.raises(HorizonError, match=r"k = 2, nu = 1e-06"):
+        # outrun by the sliding content before any crossing; the free flow's
+        # dropped-amplitude guard is what stops the march
+        with pytest.raises(HorizonError, match=r"k = 2, nu = 1e-06") as exc:
             _measured_half_life(2, 1e-6, 30.0, 0.25, w)
+        assert isinstance(exc.value.__cause__, AliasingError)
+        assert "dropped amplitude" in str(exc.value.__cause__)
 
 
 @pytest.fixture(scope="module")
@@ -599,10 +602,10 @@ def test_every_step_goes_through_solver_step(monkeypatch, kind, cfg, modes):
     """The benchmark counts steps and lattice updates by rebinding
     solver.step, reading the field's grid and the mode from the call's
     arguments; a march that advanced any other way would read as no work.
-    The witness is the transport sub-flow, which every step takes once.
+    The witness is the free flow S(dt), which every step takes once.
     Every state a step sees or leaves is real."""
     stepped, streamed, dtypes = [], [], set()
-    real_step, real_transport = solver.step, solver.transport_step
+    real_step, real_flow = solver.step, solver._FreeFlow.__call__
 
     def counted_step(*args, **kwargs):
         grid = args[0].grid
@@ -613,12 +616,12 @@ def test_every_step_goes_through_solver_step(monkeypatch, kind, cfg, modes):
         dtypes.add(args[0].data.dtype)
         return diag
 
-    def counted_transport(y, grid):
-        streamed.append(grid.n_k * grid.n_eta)
-        return real_transport(y, grid)
+    def counted_flow(plan, y, *args):
+        streamed.append(plan.grid.n_k * plan.grid.n_eta)
+        return real_flow(plan, y, *args)
 
     monkeypatch.setattr(solver, "step", counted_step)
-    monkeypatch.setattr(solver, "transport_step", counted_transport)
+    monkeypatch.setattr(solver._FreeFlow, "__call__", counted_flow)
     run_experiment(kind, cfg)
     assert streamed
     assert [size for _, size in stepped] == streamed

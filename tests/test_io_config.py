@@ -108,6 +108,23 @@ class TestRunConfigFields:
         with pytest.raises(ConfigError, match="^RunConfig: `nu_list` must be"):
             RunConfig(nu_list=(1e-4, -1e-3))
 
+    @pytest.mark.parametrize("key,value", [
+        ("k_list", (1.5,)), ("k_list", (1, 2.0)), ("echo_pump_k", 2.5),
+        ("mode_k", 1.5), ("mode_k", True)])
+    def test_construction_checks_integer_kinds(self, key, value):
+        # a float mode k ran a whole dissipation campaign and wrote a
+        # manifest that parse_config cannot read back
+        with pytest.raises(ConfigError, match=f"^RunConfig: `{key}` must be"):
+            RunConfig(**{key: value})
+
+    def test_numpy_scalars_accepted_and_written_as_python_ones(self):
+        cfg = RunConfig(k_list=(np.int64(1), np.int32(4)),
+                        mode_k=np.int64(-2), echo_pump_k=np.int16(3),
+                        nu_list=(np.float64(1e-4),))
+        text = canonical_text(cfg)
+        assert "k_list = 1, 4\n" in text and "nu_list = 0.0001\n" in text
+        assert parse_config(text) == cfg
+
     def test_construction_checks_key_pairs(self):
         with pytest.raises(ConfigError,
                            match="^RunConfig: kernel_table is only valid with"):

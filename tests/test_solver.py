@@ -1,8 +1,9 @@
 """Solver tests.
 
-Oracles: the drift-diffusion step is checked against a method-of-lines
-integration (solve_ivp, FFT eta-derivative) and against its closed form;
-transport against exact shifts and the phase-mixing law; moments against
+Oracles: the drift-diffusion flow is checked against a method-of-lines
+integration (solve_ivp, FFT eta-derivative), and the free flow S against
+its closed form and a per-call reference; collisionless transport against
+exact shifts and the phase-mixing law; moments against
 Gauss-Hermite quadrature in physical variables; the composed step against
 Richardson self-convergence and the independently discretized density
 equation.  Everything else is structural: exact fixed points, exact
@@ -15,16 +16,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 from scipy.special import roots_hermite
 
 from vpfp.errors import AliasingError, DomainError, StateEscapeError
 from vpfp import solver
 from vpfp.grids import PhaseGrid, SpectralField, mirrored
+from vpfp.semigroup import s_general_exponent
 from vpfp.linear_theory import (InteractionKernel, VolterraProblem,
                                 free_streaming_source, mu_hat,
                                 volterra_solve)
-from vpfp.solver import (HydroMoments, InitialData, Mode, Stepper, _OUPlan,
+from vpfp.solver import (HydroMoments, InitialData, Mode, Stepper, _FreeFlow,
                          _cached_stepper, _eta_stencils, _stepper,
                          compute_moments, conserved_quantities, init_state,
                          march, run_simulation, step, transport_step)
@@ -204,26 +205,71 @@ class TestSpectralField:
         assert SpectralField.zeros(g).data.dtype == np.float64
 
 
+def closed_form_flow(g, nu, dt, datum):
+    """S(dt) of the rows datum(k, eta) in closed form: each row read at the
+    foot e^(-nu dt) eta - k expm1(-nu dt) / nu of its characteristic, times
+    the damping along it."""
+    k = g.k_values[:, None]
+    foot = math.exp(-nu * dt) * g.eta - k * math.expm1(-nu * dt) / nu
+    return datum(k, foot) * np.exp(s_general_exponent(dt, 0.0, k, foot, nu))
+
+
+def ref_free_flow(g, nu, dt, y):
+    """S(dt) of the rows y rebuilt per call: the closed-form foot, the
+    Lagrange weights of the six nodes around it in absolute column
+    coordinates, zero beyond the window, the damping, and the same
+    correction by the interpolation error of the Maxwellian flow."""
+    n = g.n_eta
+    k = g.k_values[:, None]
+    foot = math.exp(-nu * dt) * g.eta - k * math.expm1(-nu * dt) / nu
+    damp = np.exp(s_general_exponent(dt, 0.0, k, foot, nu))
+    u = foot / g.d_eta + g.i_zero
+    nodes = np.floor(u)[None] + np.arange(-2, 4)[:, None, None]
+    weights = np.ones_like(nodes)
+    for j in range(6):
+        for m in range(6):
+            if m != j:
+                weights[j] *= (u - nodes[m]) / (nodes[j] - nodes[m])
+    inside = (nodes >= 0) & (nodes < n)
+    cols = np.clip(nodes, 0, n - 1).astype(int)
+
+    def interpolate(rows):
+        vals = np.take_along_axis(np.broadcast_to(rows, nodes.shape), cols,
+                                  axis=2)
+        return np.where(inside, weights * vals, 0.0).sum(axis=0) * damp
+
+    mu = np.exp(-0.5 * g.eta ** 2)
+    defect = np.exp(-0.5 * foot ** 2) * damp - interpolate(
+        np.tile(mu, (g.n_k, 1)))
+    return interpolate(y) + y[:, g.i_zero, None] * defect
+
+
 class TestOuStep:
+    """The plan of the step's free flow S(dt), the collisional free
+    streaming; on the k = 0 row it is the drift-diffusion (OU) flow."""
+
     def test_maxwellian_rows_exactly_invariant(self):
+        # the k = 0 row is invariant, and every other Maxwellian row goes
+        # to its closed-form image
         g = small_grid()
-        f = SpectralField.zeros(g)
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(g.n_k)
-        mu = np.exp(-g.eta ** 2 / 2)
-        f.data = np.outer(coeffs, mu)
-        before = f.data.copy()
-        f.data = _OUPlan.build(g, 0.3, 0.7)(f.data)
-        assert np.max(np.abs(f.data - before)) < 1e-13 * np.max(np.abs(before))
+        before = np.outer(coeffs, np.exp(-g.eta ** 2 / 2))
+        got = _FreeFlow.build(g, 0.3, 0.7)(before)
+        want = coeffs[:, None] * closed_form_flow(
+            g, 0.3, 0.7, lambda _k, e: np.exp(-0.5 * e ** 2))
+        scale = np.max(np.abs(before))
+        assert np.max(np.abs(got - want)) < 1e-13 * scale
+        i0 = g.k_index(0)
+        assert np.max(np.abs(got[i0] - before[i0])) < 1e-13 * scale
 
     def test_mass_column_exact(self):
         g = small_grid()
-        f = SpectralField.zeros(g)
         rng = np.random.default_rng(4)
-        f.data = rng.standard_normal(f.data.shape) * np.exp(-g.eta ** 2 / 8)[None, :]
-        before = f.data[:, g.i_zero].copy()
-        f.data = _OUPlan.build(g, 0.2, 0.5)(f.data)
-        assert np.array_equal(f.data[:, g.i_zero], before)
+        before = rng.standard_normal((g.n_k, g.n_eta)) * np.exp(
+            -g.eta ** 2 / 4)[None, :]
+        after = _FreeFlow.build(g, 0.2, 0.5)(before)
+        assert after[g.k_index(0), g.i_zero] == before[g.k_index(0), g.i_zero]
 
     def test_closed_form_matches_method_of_lines(self):
         # certifies the propagator formula itself on a mid-size grid
@@ -244,31 +290,36 @@ class TestOuStep:
         assert np.max(np.abs(sol.y[:, -1] - closed)) < 1e-12
 
     def test_generic_bump_matches_oracle_to_1e8(self):
-        # monotone cubic resampling loses order near extrema, so the 1e-8
-        # certification runs on a fine lattice
+        # 484 columns is the coarsest spacing at which the six-point plan
+        # is 10 times inside the bound (9.9e-10)
         nu, dt, c = 0.1, 0.1, 2.0
-        n = 76800
+        n = 484
         g = PhaseGrid(k_max=1, eta_max=12.0, n_eta=n, dt=24.0 / n)
         eta = g.eta
         f = SpectralField.zeros(g)
-        f.data[g.k_index(1)] = np.exp(-(eta - c) ** 2 / 2.0)
-        f.data = _OUPlan.build(g, nu, dt)(f.data)
+        for k in (0, 1):
+            f.data[g.k_index(k)] = np.exp(-(eta - c) ** 2 / 2.0)
+        f.data = _FreeFlow.build(g, nu, dt)(f.data)
+        # on k = 0 the flow is the drift-diffusion flow alone
         closed = (np.exp(-(np.exp(-nu * dt) * eta - c) ** 2 / 2.0)
                   * np.exp(0.5 * np.expm1(-2 * nu * dt) * eta ** 2))
-        err = np.max(np.abs(f.data[g.k_index(1)] - closed))
+        err = np.max(np.abs(f.data[g.k_index(0)] - closed))
+        assert err < 1e-8
+        closed = closed_form_flow(g, nu, dt,
+                                  lambda _k, e: np.exp(-(e - c) ** 2 / 2.0))
+        err = np.max(np.abs(f.data[g.k_index(1)] - closed[g.k_index(1)]))
         assert err < 1e-8
 
     # the benchmark lattices (landau, echo, threshold, weighted energy), the
     # acceptance test_04 lattice, and one whose spacing 1/30 is not a power
-    # of two, so that reassociated arithmetic cannot round alike by luck;
-    # as (k_max, eta_max, n_eta)
+    # of two; as (k_max, eta_max, n_eta)
     LATTICES = [(1, 153.25, 2452), (4, 142.0, 1136), (2, 146.0, 584),
                 (2, 64.0, 512), (16, 128.0, 2048), (3, 15.0, 900)]
 
     @staticmethod
     def rough_rows(rng, n_rows, n_eta):
         """Rows with flat zero stretches, sign flips, exact zeros, -0.0 and
-        underflowed tails: every branch of the PCHIP slope rule."""
+        underflowed tails."""
         x = np.linspace(-1.0, 1.0, n_eta)
         y = (rng.standard_normal((n_rows, n_eta))
              * np.exp(-rng.uniform(5.0, 900.0, (n_rows, 1)) * x ** 2))
@@ -278,36 +329,45 @@ class TestOuStep:
         y[1, ::3] *= -1.0
         y[:, -30:] = 1e-310
         y[-1] = np.exp(-0.5 * (40.0 * x) ** 2)
-        # -0.0 at eta = 0 between falling slopes, where every Hermite
-        # coefficient is negative: only the power sum's 0.0 seed makes it +0
         j = n_eta // 2
         y[2, j - 1: j + 3] = [0.25, -0.0, -1.0, -101.0]
         return y
 
     @pytest.mark.parametrize("k_max,eta_max,n_eta", LATTICES)
-    # at 1e-17 the contraction rounds to 1: every point is a breakpoint,
-    # the last one in the closed last interval
+    # at 1e-17 the contraction rounds to 1 and the feet sit a rounding
+    # error from the nodes
     @pytest.mark.parametrize("nu_dt", [1e-17, 1e-10, 1e-6, 1e-3, 0.3])
-    def test_resampler_matches_scipy_pchip_bit_for_bit(self, k_max, eta_max,
-                                                       n_eta, nu_dt):
+    def test_reproduces_quintics(self, k_max, eta_max, n_eta, nu_dt):
+        # polynomials of degree <= 5 are carried to rounding at every point
+        # whose six nodes are inside the window
         g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
                       dt=2.0 * eta_max / n_eta)
         nu, dt = 1e-2, nu_dt / 1e-2
-        y = self.rough_rows(np.random.default_rng(n_eta), 2 * g.n_k, n_eta)
-        xi = math.exp(-nu * dt) * g.eta
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            want = PchipInterpolator(g.eta, y, axis=1)(xi)
-        resample = _OUPlan.build(g, nu, dt).resample
-        assert resample(y).tobytes() == want.tobytes()
-        # the stale values of a work block never reach the result
-        work = np.full((5, y.size), np.nan)
-        assert resample(y, work).tobytes() == want.tobytes()
+        coeffs = np.random.default_rng(n_eta).standard_normal((g.n_k, 6))
+
+        def poly(k, e):
+            x = np.broadcast_to(e / eta_max, (g.n_k, n_eta))
+            return sum(coeffs[:, j, None] * x ** j for j in range(6))
+
+        got = _FreeFlow.build(g, nu, dt).resample(poly(None, g.eta))
+        want = closed_form_flow(g, nu, dt, poly)
+        k = g.k_values[:, None]
+        foot = math.exp(-nu * dt) * g.eta - k * math.expm1(-nu * dt) / nu
+        start = np.floor(foot / g.d_eta + g.i_zero) - 2
+        # exp of an exponent x carries the rounding of x times |x|, and
+        # the damped values that reach the subnormal range keep fewer
+        # digits, so those are not compared
+        exponent = s_general_exponent(dt, 0.0, k, foot, nu)
+        damp = np.exp(exponent)
+        check = (start >= 1) & (start <= n_eta - 7) & (damp > 1e-280)
+        assert check[g.k_index(0)].any()
+        tol = 1e-13 * np.max(np.abs(coeffs)) * damp * (1.0 - exponent)
+        assert np.all(np.abs(got - want)[check] <= tol[check])
 
     @staticmethod
     def sparse_rows(case, n_rows, n_eta):
         """Rows that are zero outside a few columns, or all zero, to test
-        that the resampler's window over the nonzero rows and columns is
-        exact."""
+        that the plan's window over the nonzero columns is exact."""
         rng = np.random.default_rng(n_eta)
         y = np.zeros((n_rows, n_eta))
         j = n_eta // 2
@@ -332,7 +392,7 @@ class TestOuStep:
             y[0, j] = 1.0
             y[1, j + 5: j + 7] = [-0.5, 2.0]
             y[2, j - 9: j - 6] = [1.0, -1.0, 1.0]
-            y[3, 1] = 0.75
+            y[-2, 1] = 0.75
             y[-1, n_eta - 2] = -0.25
         elif case == "negative_zero_stretches":
             y[:, :] = -0.0
@@ -346,11 +406,21 @@ class TestOuStep:
             y[2, j - 2] = 5e-324
         elif case == "real_field":
             # rough rows over a block of all-zero rows
-            y[: n_rows // 2] = TestOuStep.rough_rows(rng, n_rows // 2, n_eta)
+            y = TestOuStep.rough_rows(rng, n_rows, n_eta)
+            y[n_rows // 2 + 1:] = 0.0
         elif case == "inner_rows":
             y[1, j - 50: j + 50] = bump(100)
             y[-2, j + 60: j + 90] = bump(30)
         return y
+
+    @staticmethod
+    def full_resample(plan, y):
+        """The plan's six products at every point, with no window."""
+        flat = y.reshape(-1)
+        acc = plan.weights[0] * flat[plan.base]
+        for j in range(1, 6):
+            acc += plan.weights[j] * flat[plan.base + j]
+        return acc
 
     SPARSE_CASES = ["all_zero", "zero_stretches", "touches_first_column",
                     "touches_last_column", "narrow_support",
@@ -359,20 +429,23 @@ class TestOuStep:
 
     @pytest.mark.parametrize("case", SPARSE_CASES)
     @pytest.mark.parametrize("nu_dt", [1e-17, 1e-10, 1e-6, 1e-3, 0.3])
-    def test_window_matches_scipy_pchip_bit_for_bit(self, case, nu_dt):
+    def test_window_matches_full_resample(self, case, nu_dt):
+        # the same values, and the stale contents of the scratch never
+        # reach them; a point whose nodes all read zeros is +0.0 in the
+        # window and may be -0.0 without it
         nu, dt = 1e-2, nu_dt / 1e-2
         for k_max, eta_max, n_eta in self.LATTICES:
             g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
                           dt=2.0 * eta_max / n_eta)
-            y = self.sparse_rows(case, 2 * g.n_k, n_eta)
-            xi = math.exp(-nu * dt) * g.eta
-            with np.errstate(divide="ignore", over="ignore",
-                             invalid="ignore"):
-                want = PchipInterpolator(g.eta, y, axis=1)(xi)
-            got = _OUPlan.build(g, nu, dt).resample(y)
-            assert got.tobytes() == want.tobytes(), (k_max, n_eta)
+            y = self.sparse_rows(case, g.n_k, n_eta)
+            plan = _FreeFlow.build(g, nu, dt)
+            want = self.full_resample(plan, y)
+            assert np.array_equal(plan.resample(y), want), (k_max, n_eta)
+            term = np.full(y.size, np.nan)
+            index = np.full(y.size, -1, dtype=np.intp)
+            assert np.array_equal(plan.resample(y, term, index), want)
 
-    def test_window_matches_scipy_pchip_on_random_sparse_rows(self):
+    def test_window_matches_full_resample_on_random_sparse_rows(self):
         # seeded row sets with up to three nonzero stretches each, of
         # random place, width, sign, -0.0 and subnormal entries
         rng = np.random.default_rng(11)
@@ -381,7 +454,7 @@ class TestOuStep:
             g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
                           dt=2.0 * eta_max / n_eta)
             nu_dt = (1e-17, 1e-10, 1e-6, 1e-3, 0.3)[trial % 5]
-            y = np.zeros((2 * g.n_k, n_eta))
+            y = np.zeros((g.n_k, n_eta))
             for _ in range(int(rng.integers(1, 4))):
                 r = int(rng.integers(0, y.shape[0]))
                 lo = int(rng.integers(0, n_eta))
@@ -389,44 +462,61 @@ class TestOuStep:
                 vals[:] = (rng.choice([1.0, -1.0, -0.0, 1e-310, -5e-324],
                                       vals.size)
                            * rng.uniform(0.5, 2.0, vals.size))
-            xi = math.exp(-nu_dt) * g.eta
-            with np.errstate(divide="ignore", over="ignore",
-                             invalid="ignore"):
-                want = PchipInterpolator(g.eta, y, axis=1)(xi)
-            resample = _OUPlan.build(g, 1.0, nu_dt).resample
-            assert resample(y).tobytes() == want.tobytes(), trial
-            work = np.full((5, y.size), np.nan)
-            assert resample(y, work).tobytes() == want.tobytes(), trial
+            plan = _FreeFlow.build(g, 1.0, nu_dt)
+            want = self.full_resample(plan, y)
+            assert np.array_equal(plan.resample(y), want), trial
 
     @pytest.mark.parametrize("k_max,eta_max,n_eta", LATTICES[:4])
-    def test_step_matches_per_call_scipy_reference(self, k_max, eta_max, n_eta):
-        # the reference rebuilds two scipy interpolants per call
+    def test_plan_matches_per_call_reference(self, k_max, eta_max, n_eta):
+        # the reference rebuilds the feet, weights and defect per call
         g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
                       dt=2.0 * eta_max / n_eta)
-        nu, dt = 1e-3, 0.5 * g.dt
-        rng = np.random.default_rng(7)
-        f = SpectralField(grid=g, data=self.rough_rows(rng, g.n_k, n_eta))
-        eta = g.eta
-        xi = math.exp(-nu * dt) * eta
-        growth = np.exp(0.5 * np.expm1(-2.0 * nu * dt) * eta ** 2)
-        mu = np.exp(-0.5 * eta ** 2)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            p = PchipInterpolator(eta, f.data, axis=1)(xi)
-            p_mu = PchipInterpolator(eta, mu)(xi)
-        want = (p * growth
-                + f.data[:, g.i_zero][:, None] * (mu - p_mu * growth)[None, :])
-        assert _OUPlan.build(g, nu, dt)(f.data).tobytes() == want.tobytes()
+        nu = 1e-3
+        y = self.rough_rows(np.random.default_rng(7), g.n_k, n_eta)
+        want = ref_free_flow(g, nu, g.dt, y)
+        got = _FreeFlow.build(g, nu, g.dt)(y)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(y))
+
+    def test_nu0_plan_is_the_integer_shift(self):
+        # bit for bit, zeros included, on rough rows and on a marched state
+        g = small_grid()
+        plan = _stepper(g, coulomb(2), 0.0, "full").flow
+        assert plan.weights is None
+        y = self.rough_rows(np.random.default_rng(5), g.n_k, g.n_eta)
+        y[:, :3] = y[:, -3:] = 0.0
+        want = np.zeros_like(y)
+        for i, k in enumerate(g.k_values):
+            if k >= 0:
+                want[i, :g.n_eta - k] = y[i, k:]
+            else:
+                want[i, -k:] = y[i, :g.n_eta + k]
+        assert plan(y).tobytes() == want.tobytes()
+
+    def test_dropped_amplitude_raises(self):
+        # content that the flow carries past the window edge, on a row
+        # the shift moves toward it and on the k = 0 row, which the
+        # collisional expansion widens past eta = -eta_max
+        g = small_grid(k_max=1, eta_max=8.0, n_eta=64)
+        plan = _FreeFlow.build(g, 0.1, g.dt)
+        for row, col in ((g.k_index(1), 0), (g.k_index(0), 0)):
+            y = np.zeros((g.n_k, g.n_eta))
+            y[:, 20:40] = 1.0
+            y[row, col] = 1e-6
+            with pytest.raises(AliasingError, match="dropped amplitude"):
+                plan(y)
+            y[row, col] = 1e-14
+            plan(y)
 
     def test_plan_keyed_on_whole_grid(self):
-        # the step's OU plan lives in its stepper, cached on the whole grid,
-        # the kernel row, nu and mode
+        # the step's free-flow plan lives in its stepper, cached on the
+        # whole grid, the kernel row, nu and mode
         a = small_grid(eta_max=16.0, n_eta=256)
         b = small_grid(eta_max=8.0, n_eta=256)
         w = coulomb(2)
         sa, sb = _stepper(a, w, 0.1, "full"), _stepper(b, w, 0.1, "full")
         assert sa is not sb
-        assert not np.array_equal(sa.ou.resample.s, sb.ou.resample.s)
-        assert not np.array_equal(sa.ou.growth, sb.ou.growth)
+        assert not np.array_equal(sa.flow.weights, sb.flow.weights)
+        assert not np.array_equal(sa.flow.defect, sb.flow.defect)
         assert _stepper(small_grid(eta_max=16.0, n_eta=256), w, 0.1,
                         "full") is sa
         custom = InteractionKernel(label="custom", table={1: 0.7, -1: 0.7})
@@ -436,12 +526,13 @@ class TestOuStep:
         assert not np.array_equal(others[0].force_row, sa.force_row)
 
     def test_plan_arrays_read_only(self):
-        plan = _stepper(small_grid(), coulomb(2), 0.1, "full").ou
-        arrays = [plan.growth, plan.defect] + [
-            getattr(plan.resample, f.name) for f in fields(plan.resample)]
-        for a in arrays:
-            with pytest.raises(ValueError):
-                a[0] = 1.0
+        plan = _stepper(small_grid(), coulomb(2), 0.1, "full").flow
+        for f in fields(plan):
+            a = getattr(plan, f.name)
+            if isinstance(a, np.ndarray):
+                with pytest.raises(ValueError):
+                    a.flat[0] = 1
+        assert plan.weights.ndim == 3
 
     def test_cached_plan_gives_same_bytes(self):
         # the first step on a key builds its stepper, the next reuses it
@@ -462,13 +553,13 @@ class TestOuStep:
 
     @pytest.mark.parametrize("j,tol", [(1, 5e-7), (2, 5e-6)])
     def test_hermite_profile_decay_rates(self, j, tol):
-        # eta^j e^{-eta^2/2} picks up exactly e^{-j nu dt}
+        # eta^j e^{-eta^2/2} on the k = 0 row picks up exactly e^{-j nu dt}
         nu, dt = 0.1, 0.1
         g = PhaseGrid(k_max=1, eta_max=8.0, n_eta=3200, dt=0.005)
         prof = g.eta ** j * np.exp(-g.eta ** 2 / 2)
         f = SpectralField.zeros(g)
         f.data[g.k_index(0)] = prof
-        f.data = _OUPlan.build(g, nu, dt)(f.data)
+        f.data = _FreeFlow.build(g, nu, dt)(f.data)
         expect = np.exp(-j * nu * dt) * prof
         assert np.max(np.abs(f.data[g.k_index(0)] - expect)) < tol
 
@@ -978,9 +1069,10 @@ class TestStepPlan:
 
     def test_readouts_hold_no_step_buffers(self):
         # compute_moments and conserved_quantities read the nu = 0
-        # free-mode stepper, which has no OU plan and no RK4 buffers
+        # free-mode stepper, whose free flow is the integer shift, with no
+        # plan arrays, and which has no RK4 buffers
         s = _stepper(small_grid(), coulomb(2))
-        assert s.ou is None
+        assert s.flow.weights is None and s._index is None
         assert not hasattr(s, "_acc") and not hasattr(s, "_prod")
 
     def test_kernels_on_one_grid_get_their_own_rows(self):
@@ -1088,7 +1180,7 @@ class TestStep:
 
     def test_guard_readings_match_direct_measurements(self):
         # step reads the reality defect and the edge ratio off its own
-        # guards; replay the substeps and measure both from scratch
+        # guards; replay N(dt/2) S(dt) N(dt/2) and measure both from scratch
         g = small_grid(k_max=2, eta_max=12.0, n_eta=96)
         w = coulomb(2)
         nu = 1e-2
@@ -1099,9 +1191,8 @@ class TestStep:
         replay = f.copy()
         diag = step(f, nu, w, "full")
         coupling = _stepper(g, w, nu, "full").rk4_substep
-        ou = _OUPlan.build(g, nu, 0.5 * g.dt)
-        replay.data = coupling(ou(replay.data))
-        replay.data = ou(coupling(transport_step(replay.data, g)))
+        replay.data = coupling(_FreeFlow.build(g, nu, g.dt)(
+            coupling(replay.data)))
         defect = float(np.max(np.abs(replay.data - mirrored(replay.data))))
         replay.data = 0.5 * (replay.data + mirrored(replay.data))
         edge = np.concatenate([replay.data[:, :2], replay.data[:, -2:]], axis=1)
@@ -1135,13 +1226,13 @@ class TestStep:
         assert f.time == time
 
     @pytest.mark.parametrize("mode,nu,n_fail", [
-        ("full", 1e-3, 33), ("linear", 1e-3, 46), ("free", 1e-3, 53),
+        ("full", 1e-3, 33), ("linear", 1e-3, 46), ("free", 1e-3, 54),
         ("full", 0.0, 33)], ids=["full", "linear", "free", "full_nu0"])
     def test_failing_step_leaves_field_unchanged(self, mode, nu, n_fail):
-        # a bump centred off zero drifts to the edge of this window; step
-        # n_fail streams too much amplitude off it, after its first OU and
-        # coupling substeps have run.  At nu = 0 there is no OU substep to
-        # write a new array before the others.
+        # a bump centred off zero drifts to the edge of this window; the
+        # free flow of step n_fail would carry too much amplitude off it,
+        # after the step's first coupling substep has written a new array
+        # (in full and linear mode)
         g = small_grid(k_max=2, eta_max=16.0, n_eta=128)
         w = coulomb(2)
         f, _ = init_state(InitialData(eps=1e-3, modes=(Mode(1, 1.0, 6.0, 1.0),)),
