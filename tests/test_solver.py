@@ -337,9 +337,12 @@ class TestOuStep:
     # at 1e-17 the contraction rounds to 1 and the feet sit a rounding
     # error from the nodes
     @pytest.mark.parametrize("nu_dt", [1e-17, 1e-10, 1e-6, 1e-3, 0.3])
-    def test_reproduces_quintics(self, k_max, eta_max, n_eta, nu_dt):
-        # polynomials of degree <= 5 are carried to rounding at every point
-        # whose six nodes are inside the window
+    def test_resampler_matches_scipy_pchip_bit_for_bit(self, k_max, eta_max,
+                                                       n_eta, nu_dt):
+        # the name dates from the PCHIP resampler that the six-point plan
+        # replaced; the check is now that polynomials of degree <= 5 are
+        # carried to rounding at every point whose six nodes are inside
+        # the window
         g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
                       dt=2.0 * eta_max / n_eta)
         nu, dt = 1e-2, nu_dt / 1e-2
@@ -429,10 +432,12 @@ class TestOuStep:
 
     @pytest.mark.parametrize("case", SPARSE_CASES)
     @pytest.mark.parametrize("nu_dt", [1e-17, 1e-10, 1e-6, 1e-3, 0.3])
-    def test_window_matches_full_resample(self, case, nu_dt):
-        # the same values, and the stale contents of the scratch never
-        # reach them; a point whose nodes all read zeros is +0.0 in the
-        # window and may be -0.0 without it
+    def test_window_matches_scipy_pchip_bit_for_bit(self, case, nu_dt):
+        # the name dates from the PCHIP resampler that the six-point plan
+        # replaced; the check is now that the windowed plan gives the
+        # bytes of the unwindowed six-point sum, and the stale contents of
+        # the scratch never reach them; a point whose nodes all read zeros
+        # is +0.0 in the window and may be -0.0 without it
         nu, dt = 1e-2, nu_dt / 1e-2
         for k_max, eta_max, n_eta in self.LATTICES:
             g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
