@@ -211,22 +211,25 @@ def _flat_summary(kind: str, report) -> dict:
             "versions": _versions()}
 
 
-def _write_outputs(spec: ExperimentSpec, summary: dict, csv_files: dict) -> None:
+def _write_outputs(spec: ExperimentSpec, summary: dict, tables: dict) -> None:
+    """Write each table of tables, keyed by its CSV file name, and the
+    summary and manifest.  A table is a list of row dicts or a dict of
+    equal-length columns; its keys, in order, are the CSV's columns."""
     if not spec.out_dir:
         return
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, (rows, schema) in csv_files.items():
+    for name, table in tables.items():
+        if isinstance(table, dict):
+            arrays = [np.asarray(c) for c in table.values()]
+            rows = [tuple(float(a[i]) for a in arrays)
+                    for i in range(arrays[0].size)]
+            schema = tuple(table)
+        else:
+            rows, schema = table, tuple(table[0])
         write_csv(rows, schema, out / name)
     write_json(summary, out / "summary.json")
     write_manifest(spec.config, summary, out / "manifest.json")
-
-
-def _series_csv(columns: dict) -> tuple:
-    schema = tuple(columns.keys())
-    arrays = [np.asarray(c) for c in columns.values()]
-    rows = [tuple(float(a[i]) for a in arrays) for i in range(arrays[0].size)]
-    return rows, schema
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +369,7 @@ def run_dissipation_scan(spec: ExperimentSpec) -> ScalingReport:
         max_ratio_error=max(abs(c["ratio"] - 1.0) for c in cells),
         config_hash=config_hash(cfg),
     )
-    schema = ("k", "nu", "t_half_surrogate", "t_half_measured", "ratio",
-              "mass_drift", "momentum_drift")
-    _write_outputs(spec, report.summary(), {"cells.csv": (cells, schema)})
+    _write_outputs(spec, report.summary(), {"cells.csv": cells})
     return report
 
 
@@ -427,8 +428,7 @@ def run_landau_linear(spec: ExperimentSpec) -> RateReport:
         # the march's own time grid, on which the sources are sampled
         t_src = np.arange(n_steps + 1) * grid.dt
         vr = volterra_solve(VolterraProblem(
-            k=1, nu=nu, delta=0.0,
-            source=free_streaming_source(gauss, t_src, 1, nu),
+            k=1, nu=nu, source=free_streaming_source(gauss, t_src, 1, nu),
             dt=grid.dt, t_final=horizon), w)
         rho_lin = np.abs(vr.rho)
         scale = float(np.max(rho_lin))
@@ -448,8 +448,7 @@ def run_landau_linear(spec: ExperimentSpec) -> RateReport:
             return _eps * (1.0 + e * e) ** -4.0
 
         vs = volterra_solve(VolterraProblem(
-            k=1, nu=nu, delta=0.0,
-            source=free_streaming_source(slow, t_src, 1, nu),
+            k=1, nu=nu, source=free_streaming_source(slow, t_src, 1, nu),
             dt=grid.dt, t_final=horizon), w)
         drift = eta_ct(vs.t, 1, nu)
         premult = np.abs(vs.rho) * (1.0 + drift ** 2) ** 4.0
@@ -464,10 +463,9 @@ def run_landau_linear(spec: ExperimentSpec) -> RateReport:
                      "discrepancy": disc,
                      "mass_drift": res.max_mass_drift,
                      "momentum_drift": res.max_momentum_drift})
-        series.append(_series_csv({"t": t,
-                                   "rho_solver_abs": rho_solver,
-                                   "rho_volterra_abs": rho_lin,
-                                   "slow_premultiplied": premult}))
+        series.append({"t": t, "rho_solver_abs": rho_solver,
+                       "rho_volterra_abs": rho_lin,
+                       "slow_premultiplied": premult})
     deltas = [r["delta_fit"] for r in rows]
     all_pos = all(d > 0.0 for d in deltas)
     stability = max(deltas) / min(deltas) if all_pos else math.inf
@@ -476,12 +474,9 @@ def run_landau_linear(spec: ExperimentSpec) -> RateReport:
                         all_positive=all_pos,
                         max_discrepancy=max(r["discrepancy"] for r in rows),
                         config_hash=config_hash(cfg))
-    schema = ("nu", "delta_fit", "decay_rate", "fit_r_squared",
-              "envelope_exponent", "discrepancy", "mass_drift",
-              "momentum_drift")
-    files = {"rates.csv": (rows, schema)}
-    for i, payload in enumerate(series):
-        files[f"landau_series_{i:02d}.csv"] = payload
+    files = {"rates.csv": rows}
+    for i, columns in enumerate(series):
+        files[f"landau_series_{i:02d}.csv"] = columns
     _write_outputs(spec, report.summary(), files)
     return report
 
@@ -566,7 +561,7 @@ def run_echo(spec: ExperimentSpec) -> EchoReport:
         row["mass_drift"] = res.max_mass_drift
         row["momentum_drift"] = res.max_momentum_drift
         rows.append(row)
-        series.append(_series_csv({"t": t, "e_abs": e_abs}))
+        series.append({"t": t, "e_abs": e_abs})
     all_found = all(r["found"] for r in rows)
     amps = [r["peak_amp"] for r in rows]
     monotone = all_found and all(amps[i] >= amps[i + 1]
@@ -578,11 +573,9 @@ def run_echo(spec: ExperimentSpec) -> EchoReport:
                         strictly_decreasing=strict,
                         collisionless_deviation=rows[0]["relative_deviation"],
                         config_hash=config_hash(cfg))
-    schema = ("nu", "found", "peak_time", "peak_amp", "predicted_time",
-              "relative_deviation", "verdict", "mass_drift", "momentum_drift")
-    files = {"echo_peaks.csv": (rows, schema)}
-    for i, payload in enumerate(series):
-        files[f"echo_series_{i:02d}.csv"] = payload
+    files = {"echo_peaks.csv": rows}
+    for i, columns in enumerate(series):
+        files[f"echo_series_{i:02d}.csv"] = columns
     _write_outputs(spec, report.summary(), files)
     return report
 
@@ -723,13 +716,9 @@ def run_threshold_scan(spec: ExperimentSpec) -> ThresholdReport:
     report = ThresholdReport(rows=rows, trace=traces, fit=fit,
                              all_monotone=all(r["monotone"] for r in rows),
                              config_hash=config_hash(cfg))
-    star_schema = ("nu", "eps_star", "eps_star_2sig", "eps_lo", "eps_hi",
-                   "saturated", "degenerate", "monotone", "n_classified",
-                   "mass_drift", "momentum_drift")
-    trace_schema = ("nu", "eps", "verdict")
     _write_outputs(spec, report.summary(),
-                   {"threshold_stars.csv": (rows, star_schema),
-                    "threshold_trace.csv": (traces, trace_schema)})
+                   {"threshold_stars.csv": rows,
+                    "threshold_trace.csv": traces})
     return report
 
 
@@ -841,12 +830,9 @@ def run_thermalize(spec: ExperimentSpec) -> ThermalizationReport:
         max_mass_drift=max_dm, max_momentum_drift=max_dp,
         n_steps=n_steps,
         config_hash=config_hash(cfg))
-    rows, schema = _series_csv({
-        "t": t_arr, "f0_dev": f0_arr, "u0_abs": np.asarray(u0_abs),
-        "t0_dev": np.asarray(t0_dev), "fneq": fneq_arr,
-        "kinetic_energy": np.asarray(kin), "field_energy": np.asarray(fld)})
-    _write_outputs(spec, report.summary(),
-                   {"thermalize_series.csv": (rows, schema)})
+    _write_outputs(spec, report.summary(), {"thermalize_series.csv": {
+        "t": t_arr, "f0_dev": f0_arr, "u0_abs": u0_abs, "t0_dev": t0_dev,
+        "fneq": fneq_arr, "kinetic_energy": kin, "field_energy": fld}})
     return report
 
 

@@ -1,15 +1,15 @@
 """Scalar density equation of the linearized dynamics.
 
 Eliminating the distribution from the linearized system leaves a Volterra
-equation for the premultiplied density Phi(t) = exp(delta nu^(1/3) t) rho(t, k):
+equation for the density rho(t) = rho(t, k) on one mode k:
 
-    Phi(t) = F(t) + int_0^t K(t, tau) Phi(tau) d tau,
+    rho(t) = F(t) + int_0^t K(t, tau) rho(tau) d tau,
 
-where F is the premultiplied free-streaming contribution of the initial data
-and the physical memory kernel is -kernel_K0(t - tau):
+where F is the free-streaming contribution of the initial data and the
+physical memory kernel is -kernel_K0(t - tau):
 
-    kernel_K0(dt) = exp(delta nu^(1/3) dt) S_ct(dt, k)
-                    * w_hat(k) k^2 t~ mu_hat(k t~),   t~ = (1 - e^(-nu dt)) / nu,
+    kernel_K0(dt) = S_ct(dt, k) w_hat(k) k^2 t~ mu_hat(k t~),
+                    t~ = (1 - e^(-nu dt)) / nu,
 
 with S_ct the critical-trace weight (semigroup.s_density_exponent).
 
@@ -81,8 +81,8 @@ class InteractionKernel:
         return InteractionKernel(label="none", table={})
 
 
-def kernel_K0(dt, k: int, nu: float, delta: float, w: InteractionKernel):
-    """Premultiplied memory kernel magnitude at elapsed time dt (vectorized).
+def kernel_K0(dt, k: int, nu: float, w: InteractionKernel):
+    """Memory kernel magnitude at elapsed time dt (vectorized).
 
     Returns the positive formula; the physical convolution uses -kernel_K0.
     """
@@ -92,9 +92,7 @@ def kernel_K0(dt, k: int, nu: float, delta: float, w: InteractionKernel):
     if np.any(dt_a < 0.0):
         raise DomainError("elapsed time must be nonnegative")
     t_tilde = eta_ct(dt_a, 1, nu)
-    expo = (delta * nu ** (1.0 / 3.0) * dt_a
-            + s_density_exponent(dt_a, k, nu)
-            - 0.5 * (k * t_tilde) ** 2)
+    expo = s_density_exponent(dt_a, k, nu) - 0.5 * (k * t_tilde) ** 2
     out = w(k) * k * k * t_tilde * np.exp(expo)
     if np.ndim(dt) == 0:
         return float(out)
@@ -108,8 +106,7 @@ class VolterraProblem:
     Attributes:
         k: spatial mode, != 0.
         nu: collision frequency.
-        delta: premultiplication rate (units of nu^(1/3)).
-        source: premultiplied forcing F sampled on the time grid
+        source: forcing F sampled on the time grid
             t_j = j dt, j = 0 .. round(t_final / dt).
         dt: time step.
         t_final: horizon.
@@ -120,7 +117,6 @@ class VolterraProblem:
 
     k: int
     nu: float
-    delta: float
     source: np.ndarray
     dt: float
     t_final: float
@@ -131,7 +127,6 @@ class VolterraProblem:
 class VolterraResult:
     t: np.ndarray
     rho: np.ndarray
-    phi: np.ndarray
     meta: dict = field(default_factory=dict)
 
 
@@ -143,9 +138,9 @@ def volterra_solve(problem: VolterraProblem, w: InteractionKernel | None = None)
     the implicit (1 - dt K(0) / 2) factor.
 
     Returns:
-        VolterraResult with the premultiplied solution phi and the density
-        rho = exp(-delta nu^(1/3) t) phi.  meta carries a resolution warning
-        when the kernel varies by more than 50% across the first step.
+        VolterraResult with the density rho on the time grid t.  meta
+        carries a resolution warning when the kernel varies by more than
+        50% across the first step.
     """
     if problem.dt <= 0.0 or problem.t_final <= 0.0:
         raise DomainError("dt and t_final must be positive")
@@ -159,7 +154,7 @@ def volterra_solve(problem: VolterraProblem, w: InteractionKernel | None = None)
     else:
         if w is None:
             raise DomainError("an interaction kernel is required")
-        kern = -kernel_K0(t, problem.k, problem.nu, problem.delta, w).astype(complex)
+        kern = -kernel_K0(t, problem.k, problem.nu, w).astype(complex)
     f = np.asarray(problem.source, dtype=complex)
     if f.shape != t.shape:
         raise DomainError(f"source grid has shape {f.shape}, expected {t.shape}")
@@ -169,23 +164,22 @@ def volterra_solve(problem: VolterraProblem, w: InteractionKernel | None = None)
         meta["resolution_warning"] = (
             "kernel varies by more than 50% per step near t = 0; "
             "halve dt for a trustworthy solution")
-    phi = np.empty(n + 1, dtype=complex)
-    phi[0] = f[0]
+    rho = np.empty(n + 1, dtype=complex)
+    rho[0] = f[0]
     half = 0.5 * problem.dt
     implicit = 1.0 - half * kern[0]
     if abs(implicit) < 1e-12:
         raise NumericError("implicit trapezoid factor vanished; reduce dt")
     for i in range(1, n + 1):
-        acc = f[i] + half * kern[i] * phi[0]
+        acc = f[i] + half * kern[i] * rho[0]
         if i > 1:
-            acc = acc + problem.dt * np.dot(kern[i - 1:0:-1], phi[1:i])
-        phi[i] = acc / implicit
-    decay = np.exp(-problem.delta * problem.nu ** (1.0 / 3.0) * t)
-    return VolterraResult(t=t, rho=decay * phi, phi=phi, meta=meta)
+            acc = acc + problem.dt * np.dot(kern[i - 1:0:-1], rho[1:i])
+        rho[i] = acc / implicit
+    return VolterraResult(t=t, rho=rho, meta=meta)
 
 
 def free_streaming_source(h_in_hat: Callable, t, k: int, nu: float):
-    """Density radiated by freely advected initial data (not premultiplied).
+    """Density radiated by freely advected initial data.
 
     rho_free(t) = S_ct(t, k) * h_in_hat(k, eta_ct(t, k, nu)).
     """

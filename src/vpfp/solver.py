@@ -35,9 +35,9 @@ the coupling terms N symmetrically:
     state as one real stacked (3 n_k x n_k) product and takes the
     eta-derivative of one block only; the background and Maxwellian-profile
     terms are rank-1 products with two fixed rows.  The linear coupling
-    reads only the eta = 0 column, which its own increment leaves
-    unchanged up to the sign of a zero, so a linear substep evaluates it
-    once for all four stages.
+    reads only the eta = 0 column, where it vanishes, so it is constant
+    along its own flow and a linear substep takes that flow exactly,
+    y + (dt/2) N(y).  Free mode has no coupling.
 
 The step is a function of the state and a per-run plan.  A Stepper for one
 (grid, nu, kernel row, mode) holds every array the step reads that depends
@@ -48,9 +48,10 @@ cache, the only plan cache of the module.  The readouts take the grid's
 nu = 0 free-mode stepper from it: a recorded density is the state's eta = 0
 column and its force the force row times it, so only full mode's RK4
 stages and compute_moments run the closure.  The stepper is the only
-implementation of the sub-flows and the guards, so the closure, the RHS,
-the free flow and the symmetrization each exist once.  The buffers keep
-each operation's operands and order, so they change no byte of any result.
+implementation of the sub-flows and the guards, so the closure, the
+coupling, the free flow and the symmetrization each exist once.  The
+buffers keep each operation's operands and order, so they change no byte
+of any result.
 
 Convolutions in k are exact direct sums over the truncated band.  The
 moment closure follows the density, momentum and second-moment columns of
@@ -482,15 +483,6 @@ class _FreeFlow:
         return out
 
 
-@dataclass
-class StepDiagnostics:
-    """Guard readings of one step: the reality defect its symmetrization
-    removed and the edge-to-peak amplitude ratio."""
-
-    reality_defect: float
-    boundary_ratio: float
-
-
 class Stepper:
     """The time step for one (grid, nu, kernel row, mode), with its plan and
     its buffers.
@@ -500,11 +492,11 @@ class Stepper:
     its rank-1 terms, the kernel's force and energy rows, the matrix taking
     band coefficients to their real spatial profile on an oversampled x
     grid, the convolution index and the free-flow plan of a step.  Every
-    plan array is read-only.  The buffers hold the RK4 stages, the stacked
-    coupling product, the free flow's node indices and terms and the
-    guards' scratch.  No buffer carries anything
-    from one call to the next, so fields that share a stepper give the
-    bytes each gives alone; one stepper serves one thread at a time.
+    plan array is read-only.  The buffers hold full mode's RK4 stages and
+    stacked coupling product, the free flow's node indices and terms and
+    the guards' scratch.  No buffer carries anything from one call to the
+    next, so fields that share a stepper give the bytes each gives alone;
+    one stepper serves one thread at a time.
 
     Each operation keeps the operands and the order of the formulas in the
     docstrings, and a ufunc writing into a buffer rounds as one writing a
@@ -544,15 +536,12 @@ class Stepper:
         # RHS's stencil and rank-1 terms, and the free flow's node indices
         self._tmp, self._aux = np.empty((2,) + shape)
         self._index = np.empty(n * n_eta, dtype=np.intp) if nu > 0 else None
-        # the RK4 stages (three, and the stacked product's three in full
-        # mode)
-        work = np.empty(({"full": 6, "linear": 3}.get(mode, 0),) + shape)
-        if mode != "free":
-            self._acc, self._k, self._stage = work[:3]
         if mode == "full":
-            # the RHS's three coefficient rows, the flat index of their
-            # stacked (3 n_k x n_k) convolution matrix and the product's
-            # blocks
+            # the three RK4 stages, the RHS's three coefficient rows, the
+            # flat index of their stacked (3 n_k x n_k) convolution matrix
+            # and the product's blocks
+            work = np.empty((6,) + shape)
+            self._acc, self._k, self._stage = work[:3]
             self._pad_rhs = np.zeros((3, 2 * n - 1))
             self._rhs_rows = tuple(self._pad_rhs[:, self.band])
             self._rhs_index = _read_only(
@@ -650,53 +639,45 @@ class Stepper:
         out -= np.multiply((nu * m_t.real)[:, None], self.eta2_mu, out=self._tmp)
         return out
 
-    def rhs_linear(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The linear coupling -e (i eta mu), e = -i k w(k) rho(k): it reads
-        only the eta = 0 column."""
+    def linear_substep(self, y: np.ndarray) -> np.ndarray:
+        """The exact flow of the linear coupling -e (i eta mu),
+        e = -i k w(k) rho(k), over half a time step, as a new array.
+
+        The coupling reads only the eta = 0 column, where eta mu is zero,
+        so it is constant along its own flow, which is y + dt/2 N(y): the
+        row coefficients dt/2 Im(e) times eta mu, plus y.  The eta = 0
+        column keeps its values.
+        """
         e = self.force_row * y[:, self.i_zero]
-        return np.multiply(e.imag[:, None], self.eta_mu, out=out)
+        out = np.multiply((self.half_dt * e.imag)[:, None], self.eta_mu)
+        out += y
+        return out
 
     def rk4_substep(self, y: np.ndarray) -> np.ndarray:
-        """Classical RK4 on the coupling terms over half a time step,
+        """Classical RK4 on the full coupling terms over half a time step,
 
             y + dt/6 (k1 + 2 k2 + 2 k3 + k4),
 
-        as a new array; y itself in free mode.  The sum is accumulated stage
-        by stage in that order.
-
-        The linear RHS reads only the eta = 0 column, where eta mu is zero,
-        so the four stages see that column unchanged and one evaluation
-        serves all of them; the stage sum keeps its order, so the bytes are
-        RK4's.  The one exception is a row whose eta = 0 entry is -0.0: a
-        stage may see +0.0 there, and some zeros of the result then differ
-        from RK4's in sign, never in value.
+        as a new array.  The sum is accumulated stage by stage in that
+        order.
         """
-        if self.mode == "free":
-            return y
         dt = self.half_dt
         acc, k, stage = self._acc, self._k, self._stage
-        if self.mode == "linear":
-            k1 = self.rhs_linear(y, k)
-            two = np.multiply(k1, 2.0, out=stage)
-            np.add(k1, two, out=acc)
-            acc += two
-            acc += k1
-        else:
-            self._stage_rhs(y, acc)                        # k1
-            np.multiply(acc, 0.5 * dt, out=stage)
-            stage += y
-            self._stage_rhs(stage, k)                      # k2
-            np.multiply(k, 0.5 * dt, out=stage)
-            stage += y
-            k *= 2.0
-            acc += k
-            self._stage_rhs(stage, k)                      # k3
-            np.multiply(k, dt, out=stage)
-            stage += y
-            k *= 2.0
-            acc += k
-            self._stage_rhs(stage, k)                      # k4
-            acc += k
+        self._stage_rhs(y, acc)                            # k1
+        np.multiply(acc, 0.5 * dt, out=stage)
+        stage += y
+        self._stage_rhs(stage, k)                          # k2
+        np.multiply(k, 0.5 * dt, out=stage)
+        stage += y
+        k *= 2.0
+        acc += k
+        self._stage_rhs(stage, k)                          # k3
+        np.multiply(k, dt, out=stage)
+        stage += y
+        k *= 2.0
+        acc += k
+        self._stage_rhs(stage, k)                          # k4
+        acc += k
         acc *= dt / 6.0
         return y + acc
 
@@ -704,7 +685,7 @@ class Stepper:
         rho, m1, _, _, m_t, _, e_field, _ = self.closure(y)
         self.rhs_full(y, rho, m1, m_t, e_field, out)
 
-    def advance(self, field: SpectralField) -> StepDiagnostics:
+    def advance(self, field: SpectralField) -> float:
         """One time step of the field, N(dt/2) o S(dt) o N(dt/2) and the
         guards; see step.
 
@@ -713,19 +694,23 @@ class Stepper:
         passed: a step that raises leaves the field as it was, and an array
         the field held before keeps its bytes.
         """
-        y = self.rk4_substep(field.data)
-        y = self.flow(y, self._tmp, self._index)
-        y = self.rk4_substep(y)
-        defect, edge_ratio = self._symmetrize(y)
+        y = field.data
+        if self.mode == "free":
+            y = self.flow(y, self._tmp, self._index)
+        else:
+            half = (self.rk4_substep if self.mode == "full"
+                    else self.linear_substep)
+            y = half(self.flow(half(y), self._tmp, self._index))
+        defect = self._symmetrize(y)
         field.data = y
         field.time += self.grid.dt
-        return StepDiagnostics(reality_defect=defect, boundary_ratio=edge_ratio)
+        return defect
 
-    def _symmetrize(self, y: np.ndarray) -> tuple[float, float]:
+    def _symmetrize(self, y: np.ndarray) -> float:
         """The step's guards on the new state y (a step's or init_state's),
-        which is averaged in place with its mirror: the non-finite check, the reality drift measured
-        before the averaging and the edge sentinel after it.  Returns the
-        reality defect and the edge-to-peak ratio (0.0 for a zero state)."""
+        which is averaged in place with its mirror: the non-finite check,
+        the reality drift measured before the averaging and the edge
+        sentinel after it.  Returns the reality defect."""
         mag = np.abs(y, out=self._tmp)
         # NaN and inf both fail it
         scale = float(mag.max())
@@ -742,14 +727,12 @@ class Stepper:
         y *= 0.5
         mag = np.abs(y, out=self._tmp)
         scale = float(mag.max())
-        if scale == 0.0:
-            return defect, 0.0
         edge = max(float(mag[:, :2].max()), float(mag[:, -2:].max()))
         if edge > BOUNDARY_SENTINEL * scale:
             raise AliasingError(
                 f"boundary amplitude {edge:.3e} exceeds {BOUNDARY_SENTINEL:g} "
                 f"of the field scale {scale:.3e}; enlarge eta_max")
-        return defect, edge / scale
+        return defect
 
 
 # The one plan cache: a stepper per (grid, kernel row, nu, mode).  A march
@@ -771,17 +754,19 @@ def _stepper(grid: PhaseGrid, w: InteractionKernel, nu: float = 0.0,
 
 
 def step(field: SpectralField, nu: float, w: InteractionKernel,
-         mode: str = "full") -> StepDiagnostics:
-    """Advance one full time step and report its guard readings.
+         mode: str = "full") -> float:
+    """Advance one full time step and return the reality defect its
+    symmetrization removed.
 
-    The step composes N(dt/2) o S(dt) o N(dt/2): RK4 on the coupling terms
-    over half a step on either side of one application of the collisional
-    free streaming S(dt) (free mode takes S(dt) alone).  It then rejects a
-    non-finite state, averages the state with its mirror after checking
-    the reality drift, and checks the edge sentinel.  It runs the cached
-    stepper of (grid, nu, kernel, mode).  A step that raises leaves the
-    field as it was; S raises AliasingError when it would carry more than
-    1e-12 of the state's norm off the window.
+    The step composes N(dt/2) o S(dt) o N(dt/2): the coupling's flow over
+    half a step, RK4 in full mode and exact in linear mode, on either side
+    of one application of the collisional free streaming S(dt) (free mode
+    takes S(dt) alone).  It then rejects a non-finite state, averages the
+    state with its mirror after checking the reality drift, and checks the
+    edge sentinel.  It runs the cached stepper of (grid, nu, kernel,
+    mode).  A step that raises leaves the field as it was; S raises
+    AliasingError when it would carry more than 1e-12 of the state's norm
+    off the window.
     """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}")
@@ -808,11 +793,11 @@ def march(field: SpectralField, nu: float, w: InteractionKernel, n_steps: int,
     max_dm = max_dp = max_re = 0.0
     i = 0
     while not observe(field, cons, i) and i < n_steps:
-        diag = step(field, nu, w, mode)
+        defect = step(field, nu, w, mode)
         after = readout.conserved(field)
         max_dm = max(max_dm, abs(after.mass - cons.mass))
         max_dp = max(max_dp, abs(after.momentum - cons.momentum))
-        max_re = max(max_re, diag.reality_defect)
+        max_re = max(max_re, defect)
         cons = after
         i += 1
     return max_dm, max_dp, max_re
@@ -830,7 +815,6 @@ class RunResult:
     max_mass_drift: float
     max_momentum_drift: float
     max_reality_defect: float
-    final: SpectralField
 
 
 def run_simulation(field: SpectralField, nu: float, w: InteractionKernel,
@@ -855,4 +839,4 @@ def run_simulation(field: SpectralField, nu: float, w: InteractionKernel,
                      e_field=_stepper(field.grid, w).force_row * rho,
                      kinetic_energy=kinetic, field_energy=field_e,
                      max_mass_drift=max_dm, max_momentum_drift=max_dp,
-                     max_reality_defect=max_re, final=field)
+                     max_reality_defect=max_re)

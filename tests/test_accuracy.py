@@ -9,6 +9,8 @@ with exact answers and check the observed order of convergence.
     from semigroup._characteristic.
   * Linear mode: the lattice density against the independently discretized
     density equation (the landau campaign's discrepancy), at two spacings.
+  * Full mode: the echo campaign's peak of |E(t, 1)| against itself at the
+    campaign's spacing and half of it.
 """
 
 import math
@@ -16,7 +18,11 @@ import math
 import numpy as np
 import pytest
 
+from csv_reader import read_csv
+from vpfp import experiments
+from vpfp.experiments import ExperimentSpec, run_echo
 from vpfp.grids import PhaseGrid
+from vpfp.io_config import RunConfig
 from vpfp.linear_theory import (InteractionKernel, VolterraProblem,
                                 free_streaming_source, volterra_solve)
 from vpfp.semigroup import _characteristic, s_general_exponent
@@ -61,7 +67,7 @@ def landau_discrepancy(d_eta, nu=1e-3, eps=1e-3):
     rho = np.abs(run_simulation(f, nu, w, n_steps, "linear").rho[:, 2])
     t = np.arange(n_steps + 1) * g.dt
     vr = volterra_solve(VolterraProblem(
-        k=1, nu=nu, delta=0.0,
+        k=1, nu=nu,
         source=free_streaming_source(
             lambda _k, e: eps * math.exp(-0.5 * e * e), t, 1, nu),
         dt=g.dt, t_final=n_steps * g.dt), w)
@@ -91,3 +97,26 @@ class TestLinearModeAgainstDensityEquation:
         # measured 1.35e-8 and a ratio 32; bounds 25% and 7 off
         assert coarse < 1.7e-8
         assert coarse / fine > 25.0
+
+
+def echo_peak(out, d_eta, monkeypatch, nu=1e-6):
+    """The echo campaign's peak of |E(t, 1)| in its nu cell, run at spacing
+    d_eta: the vertex of the parabola through the sampled maximum and its
+    two neighbours."""
+    monkeypatch.setitem(experiments._D_ETA, "echo", d_eta)
+    rep = run_echo(ExperimentSpec.from_config(
+        "echo", RunConfig(nu_list=(nu,)), str(out)))
+    _, rows = read_csv(out / "echo_series_00.csv")
+    t, e_abs = np.array(rows).T
+    i = int(np.flatnonzero(t == rep.rows[0]["peak_time"])[0])
+    a, b, c = e_abs[i - 1:i + 2]
+    return b - (c - a) ** 2 / (8.0 * (c - 2.0 * b + a))
+
+
+class TestFullModeSelfConvergence:
+    def test_echo_peak_under_halving(self, tmp_path, monkeypatch):
+        coarse = echo_peak(tmp_path / "coarse", 0.25, monkeypatch)
+        fine = echo_peak(tmp_path / "fine", 0.125, monkeypatch)
+        # measured 3.5210012e-2 and 3.5374545e-2, a gap of 1.65e-4; bound
+        # 25% above
+        assert abs(coarse - fine) < 2.1e-4, (coarse, fine)

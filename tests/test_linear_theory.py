@@ -54,17 +54,17 @@ class TestInteractionKernel:
 class TestKernelK0:
     def test_zero_at_origin(self):
         w = InteractionKernel.coulomb()
-        assert kernel_K0(0.0, 1, 1e-3, 0.05, w) == 0.0
+        assert kernel_K0(0.0, 1, 1e-3, w) == 0.0
 
     def test_rejects_zero_mode(self):
         with pytest.raises(DomainError):
-            kernel_K0(1.0, 0, 1e-3, 0.05, InteractionKernel.coulomb())
+            kernel_K0(1.0, 0, 1e-3, InteractionKernel.coulomb())
 
     def test_collisionless_limit(self):
-        # At nu -> 0 and delta = 0 the kernel is w(k) k^2 t mu_hat(k t).
+        # At nu -> 0 the kernel is w(k) k^2 t mu_hat(k t).
         w = InteractionKernel.coulomb()
         t = np.linspace(0.5, 6.0, 12)
-        got = kernel_K0(t, 1, 1e-8, 0.0, w)
+        got = kernel_K0(t, 1, 1e-8, w)
         want = t * np.exp(-t * t / 2.0)
         assert np.allclose(got, want, rtol=1e-4)
 
@@ -74,7 +74,7 @@ class TestKernelK0:
         t = np.linspace(0.0, 16.0, 4001)
         for nu in (1e-5, 1e-3):
             for k in (1, 2, 4, 8):
-                vals = kernel_K0(t, k, nu, 0.05, w)
+                vals = kernel_K0(t, k, nu, w)
                 mass = np.trapezoid(vals, t)
                 assert 0.0 < mass < 1.5
 
@@ -87,35 +87,35 @@ def time_grid(dt: float, t_final: float) -> np.ndarray:
 class TestVolterraSolve:
     def test_no_interaction_returns_source(self):
         w = InteractionKernel.none()
-        p = VolterraProblem(k=1, nu=1e-3, delta=0.05,
+        p = VolterraProblem(k=1, nu=1e-3,
                             source=np.exp(-time_grid(0.01, 2.0)),
                             dt=0.01, t_final=2.0)
         r = volterra_solve(p, w)
-        assert np.allclose(r.phi, np.exp(-r.t), rtol=1e-12)
+        assert np.allclose(r.rho, np.exp(-r.t), rtol=1e-12)
 
     def test_exponential_kernel_closed_form(self):
-        # K(dt) = a exp(-b dt), F = 1 has Phi = (a e^((a-b)t) - b)/(a - b);
+        # K(dt) = a exp(-b dt), F = 1 has rho = (a e^((a-b)t) - b)/(a - b);
         # the trapezoid scheme is second order, 7.8e-8 relative at dt = 1e-3.
         a, b = 0.5, 1.0
-        p = VolterraProblem(k=1, nu=1e-3, delta=0.0,
+        p = VolterraProblem(k=1, nu=1e-3,
                             source=np.ones_like(time_grid(1e-3, 5.0)),
                             dt=1e-3, t_final=5.0,
                             kernel_override=lambda s: a * math.exp(-b * s))
         r = volterra_solve(p)
         exact = (a * np.exp((a - b) * r.t) - b) / (a - b)
-        assert np.max(np.abs(r.phi - exact) / np.abs(exact)) < 1e-6
+        assert np.max(np.abs(r.rho - exact) / np.abs(exact)) < 1e-6
 
     def test_second_order_convergence(self):
         a, b = 0.5, 1.0
         errs = []
         for dt in (2e-3, 1e-3):
-            p = VolterraProblem(k=1, nu=1e-3, delta=0.0,
+            p = VolterraProblem(k=1, nu=1e-3,
                                 source=np.ones_like(time_grid(dt, 4.0)),
                                 dt=dt, t_final=4.0,
                                 kernel_override=lambda s: a * math.exp(-b * s))
             r = volterra_solve(p)
             exact = (a * np.exp((a - b) * r.t) - b) / (a - b)
-            errs.append(np.max(np.abs(r.phi - exact)))
+            errs.append(np.max(np.abs(r.rho - exact)))
         ratio = errs[0] / errs[1]
         assert 3.3 < ratio < 4.7
 
@@ -123,40 +123,38 @@ class TestVolterraSolve:
         w = InteractionKernel.coulomb()
         nu = 1e-3
         src = np.exp(-time_grid(0.01, 8.0) ** 2 / 2.0)
-        common = dict(k=1, nu=nu, delta=0.05, dt=0.01, t_final=8.0)
+        common = dict(k=1, nu=nu, dt=0.01, t_final=8.0)
         r1 = volterra_solve(VolterraProblem(source=src, **common), w)
         r2 = volterra_solve(VolterraProblem(source=3.0 * src, **common), w)
-        assert np.allclose(3.0 * r1.phi, r2.phi, rtol=1e-12, atol=1e-300)
+        assert np.allclose(3.0 * r1.rho, r2.rho, rtol=1e-12, atol=1e-300)
 
     def test_simpson_residual(self):
         # The trapezoid solution must satisfy the equation under an
         # independent quadrature rule to 1e-8 of the solution scale.
         w = InteractionKernel.coulomb()
-        nu, delta, k = 1e-3, 0.05, 1
+        nu, k = 1e-3, 1
         dt, t_final = 1.5e-4, 1.5
-        r_pre = nu ** (1.0 / 3.0)
 
         def h_in(kk, e):
             return math.exp(-e * e / 2.0)
 
         t = time_grid(dt, t_final)
-        src = np.exp(delta * r_pre * t) * free_streaming_source(h_in, t, k, nu)
-        p = VolterraProblem(k=k, nu=nu, delta=delta, source=src,
-                            dt=dt, t_final=t_final)
+        src = free_streaming_source(h_in, t, k, nu)
+        p = VolterraProblem(k=k, nu=nu, source=src, dt=dt, t_final=t_final)
         r = volterra_solve(p, w)
         n = r.t.size - 1
         assert n % 2 == 0
-        kern = -kernel_K0(r.t[n] - r.t, k, nu, delta, w)
+        kern = -kernel_K0(r.t[n] - r.t, k, nu, w)
         simp = np.ones(n + 1)
         simp[1:-1:2] = 4.0
         simp[2:-1:2] = 2.0
         simp *= dt / 3.0
-        conv = np.dot(simp * kern, r.phi)
-        residual = abs(r.phi[n] - src[n] - conv)
-        assert residual < 1e-8 * np.max(np.abs(r.phi))
+        conv = np.dot(simp * kern, r.rho)
+        residual = abs(r.rho[n] - src[n] - conv)
+        assert residual < 1e-8 * np.max(np.abs(r.rho))
 
     def test_source_off_the_grid_rejected(self):
-        p = VolterraProblem(k=1, nu=1e-3, delta=0.0,
+        p = VolterraProblem(k=1, nu=1e-3,
                             source=np.ones_like(time_grid(0.5, 4.5)),
                             dt=0.5, t_final=5.0)
         with pytest.raises(DomainError, match="source grid"):
@@ -164,7 +162,7 @@ class TestVolterraSolve:
 
     def test_resolution_warning(self):
         # A kernel with structure finer than dt is flagged, not hidden.
-        p = VolterraProblem(k=1, nu=1e-3, delta=0.0,
+        p = VolterraProblem(k=1, nu=1e-3,
                             source=np.ones_like(time_grid(0.5, 5.0)),
                             dt=0.5, t_final=5.0,
                             kernel_override=lambda s: math.exp(-8.0 * s))
@@ -176,19 +174,16 @@ class TestVolterraSolve:
         # density visible; after removing the algebraic envelope, the fitted
         # rate in units of nu^(1/3) is the same across two decades of nu.
         w = InteractionKernel.coulomb()
-        delta = 0.05
         rates = []
         for nu in (1e-5, 1e-4, 1e-3):
-            r_pre = nu ** (1.0 / 3.0)
             scale = nu ** (-1.0 / 3.0)
 
             def h_in(kk, e):
                 return (1.0 + e * e) ** -4.0
 
             t = time_grid(0.02, 3.0 * scale)
-            src = np.exp(delta * r_pre * t) * free_streaming_source(
-                h_in, t, 1, nu)
-            p = VolterraProblem(k=1, nu=nu, delta=delta, source=src,
+            p = VolterraProblem(k=1, nu=nu,
+                                source=free_streaming_source(h_in, t, 1, nu),
                                 dt=0.02, t_final=3.0 * scale)
             res = volterra_solve(p, w)
             envelope = (1.0 + eta_ct(res.t, 1, nu) ** 2) ** 4.0

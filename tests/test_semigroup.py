@@ -247,11 +247,10 @@ def ref_s_general_exponent(t, tau, k, eta, nu):
     return -nu * np.maximum(integral, 0.0)
 
 
-def ref_kernel_K0(dt, k, nu, delta, w):
+def ref_kernel_K0(dt, k, nu, w):
     dt = np.asarray(dt, dtype=float)
     t_tilde = dt * ref_phi1(nu * dt)
-    expo = (delta * nu ** (1.0 / 3.0) * dt
-            + s_density_exponent(dt, k, nu) - 0.5 * (k * t_tilde) ** 2)
+    expo = s_density_exponent(dt, k, nu) - 0.5 * (k * t_tilde) ** 2
     return w(k) * k * k * t_tilde * np.exp(expo)
 
 
@@ -307,5 +306,5 @@ class TestCharacteristicBits:
         w = InteractionKernel.coulomb()
         dt = np.concatenate([[0.0], np.geomspace(1e-3, 2e3, 400)])
         for k in (1, -2, 3):
-            got = kernel_K0(dt, k, nu, 0.05, w)
-            assert got.tobytes() == ref_kernel_K0(dt, k, nu, 0.05, w).tobytes()
+            got = kernel_K0(dt, k, nu, w)
+            assert got.tobytes() == ref_kernel_K0(dt, k, nu, w).tobytes()
