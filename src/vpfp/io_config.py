@@ -79,7 +79,7 @@ class RunConfig:
         for i, v in enumerate(self.kernel_table):
             table[i + 1] = float(v)
             table[-(i + 1)] = float(v)
-        return InteractionKernel(label="custom", table=table)
+        return InteractionKernel(table=table)
 
 
 # key -> (kind, validator, requirement text). Kinds: int, float, str,

@@ -43,13 +43,11 @@ class InteractionKernel:
     """Nonnegative interaction weights w_hat(k) for k != 0.
 
     Attributes:
-        label: short name used in manifests.
         table: explicit weights for the modes that carry any; missing modes
             weigh 0.  Weights must satisfy 0 <= w_hat(k) <= C / |k| for some
             C.
     """
 
-    label: str
     table: dict[int, float]
 
     def __post_init__(self):
@@ -67,18 +65,16 @@ class InteractionKernel:
     @staticmethod
     def coulomb(k_max: int = 64) -> "InteractionKernel":
         return InteractionKernel(
-            label="coulomb",
             table={k: 1.0 / (k * k) for k in range(-k_max, k_max + 1) if k != 0})
 
     @staticmethod
     def screened(k_max: int = 64) -> "InteractionKernel":
         return InteractionKernel(
-            label="screened",
             table={k: 1.0 / (1.0 + k * k) for k in range(-k_max, k_max + 1) if k != 0})
 
     @staticmethod
     def none() -> "InteractionKernel":
-        return InteractionKernel(label="none", table={})
+        return InteractionKernel(table={})
 
 
 def kernel_K0(dt, k: int, nu: float, w: InteractionKernel):

@@ -38,6 +38,15 @@ _NORM_BOUNDARY = 1e-12
 _MAX_LADDER = 8
 
 
+def _check_depth(depth, name: str) -> None:
+    """Raise DomainError unless depth is a Python or numpy integer, not a
+    bool, in [0, _MAX_LADDER]; the check reads nothing of the field."""
+    if (isinstance(depth, bool) or not isinstance(depth, (int, np.integer))
+            or not 0 <= depth <= _MAX_LADDER):
+        raise DomainError(f"{name} must be an integer in [0, {_MAX_LADDER}], "
+                          f"got {depth!r}")
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Parameters of the A-weighted norms norm_f and norm_d.
@@ -57,8 +66,7 @@ class NormSpec:
             raise DomainError("regularity s must be finite and nonnegative")
         if not 0.0 <= self.c < math.inf:
             raise DomainError("growth rate c must be finite and nonnegative")
-        if not 0 <= self.m < math.inf or self.m != int(self.m):
-            raise DomainError("ladder depth m must be a nonnegative integer")
+        _check_depth(self.m, "ladder depth m")
 
 
 def m_exponent_grid(t, k, eta, nu) -> np.ndarray:
@@ -131,16 +139,12 @@ def a_weight(t: float, k: int, eta, nu: float, spec: NormSpec):
     return out
 
 
-def _check_norm_input(field: SpectralField, depth: int) -> None:
+def _check_norm_input(field: SpectralField) -> None:
     scale = float(np.max(np.abs(field.data)))
-    if scale == 0.0:
-        return
-    if field.boundary_amplitude() > _NORM_BOUNDARY * scale:
+    if scale > 0.0 and field.boundary_amplitude() > _NORM_BOUNDARY * scale:
         raise DomainError(
             "field has not decayed to 1e-12 of its max at the lattice edge; "
             "weighted norms would alias")
-    if depth > _MAX_LADDER:
-        raise DomainError(f"derivative depth {depth} beyond the grid budget")
 
 
 def _eta_derivative_stack(data: np.ndarray, d_eta: float, max_order: int) -> list[np.ndarray]:
@@ -167,7 +171,7 @@ def _a_matrix(grid: PhaseGrid, spec: NormSpec, nu: float, t: float) -> np.ndarra
 def _ladder_norm_sq(field: SpectralField, spec: NormSpec, nu: float,
                     t: float, point_weight: np.ndarray | None) -> float:
     grid = field.grid
-    _check_norm_input(field, spec.m)
+    _check_norm_input(field)
     a_mat = _a_matrix(grid, spec, nu, t)
     if point_weight is not None:
         a_mat = a_mat * np.abs(point_weight)
@@ -212,15 +216,14 @@ def norm_sobolev_moment(field: SpectralField, s: float, q: int) -> float:
              |(i d/d_eta)^i h|^2 d_eta.
     """
     grid = field.grid
-    if q < 0 or q != int(q):
-        raise DomainError("moment budget must be a nonnegative integer")
-    _check_norm_input(field, int(q))
+    _check_depth(q, "moment budget q")
+    _check_norm_input(field)
     brack = bracket(grid.k_values[:, None].astype(float), grid.eta[None, :])
     weight = brack ** (2.0 * s)
-    derivs = _eta_derivative_stack(field.data, grid.d_eta, int(q))
+    derivs = _eta_derivative_stack(field.data, grid.d_eta, q)
     total = 0.0
-    for i in range(int(q) + 1):
-        total += (math.comb(int(q), i)
+    for i in range(q + 1):
+        total += (math.comb(q, i)
                   * float(np.sum(weight * np.abs(derivs[i]) ** 2)) * grid.d_eta)
     return math.sqrt(total)
 

@@ -25,8 +25,9 @@ the coupling terms N symmetrically:
     columns from the first to the last nonzero one are computed; every
     other point is +0.0.  Beyond the window the rows read as zero, and a
     step that would carry more than 1e-12 of the state's norm off the
-    window raises.  At nu = 0 the foot is eta + k dt and S is an exact
-    integer column shift per row.
+    window raises.  At nu = 0 the same plan is the undamped shear: the foot
+    is eta + k dt, a whole number of columns, its weights are exactly
+    0, 0, 1, 0, 0, 0, and S is the integer column shift per row.
   * N: the coupling terms (self-consistent force and the moment-feedback
     corrections that give the collision operator its local conservation
     laws) integrated with classical RK4, moments recomputed every stage.
@@ -324,27 +325,6 @@ def _check_dropped(lost: np.ndarray, y: np.ndarray) -> None:
                 f"({dropped / norm:.2e} of the state); enlarge eta_max")
 
 
-def transport_step(d: np.ndarray, g: PhaseGrid) -> np.ndarray:
-    """Exact shear transport h(k, eta) <- h(k, eta + k dt) of the state d on
-    the grid g as column shifts: the collisionless free flow S(dt).
-
-    Row k shifts by k columns into a new array, which is returned.  Raises
-    AliasingError when the amplitude falling off the window is significant.
-    """
-    n = g.n_eta
-    out = np.zeros_like(d)
-    lost = []
-    for i, k in enumerate(range(-g.k_max, g.k_max + 1)):
-        if k >= 0:
-            out[i, :n - k] = d[i, k:]
-            lost.append(d[i, :k])
-        else:
-            out[i, -k:] = d[i, :n + k]
-            lost.append(d[i, n + k:])
-    _check_dropped(np.concatenate(lost), d)
-    return out
-
-
 # Offsets, from the cell that holds a foot, of the six nodes the value at
 # the foot is interpolated from.
 _NODES = range(-2, 4)
@@ -373,8 +353,10 @@ class _FreeFlow:
     where foot = e^(-nu dt) eta - k expm1(-nu dt) / nu is the point the
     characteristic through eta left a step earlier (semigroup's
     _characteristic at -dt) and the exponential is the exact damping along
-    it.  With nu = 0 the foot is eta + k dt, a whole number of columns, and
-    the flow is transport_step's exact shift; the plan then holds no arrays.
+    it.  With nu = 0 the foot is eta + k dt and there is no damping; the
+    feet and the images are then counted in columns, so on a grid whose dt
+    is its spacing they are whole columns, the weights are exactly 0, 0, 1,
+    0, 0, 0 and the flow is the integer shift of each row.
 
     h(k, foot) is interpolated through the six nodes around the foot, so
     polynomials of degree 5 are carried exactly.  base is the flat index of
@@ -390,24 +372,33 @@ class _FreeFlow:
     """
 
     grid: PhaseGrid
-    base: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    first: np.ndarray | None = None
-    last: np.ndarray | None = None
-    drop: np.ndarray | None = None
-    fade: np.ndarray | None = None
-    defect: np.ndarray | None = None
+    base: np.ndarray
+    weights: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    drop: np.ndarray
+    fade: np.ndarray
+    defect: np.ndarray
 
     @classmethod
     def build(cls, grid: PhaseGrid, nu: float, dt: float) -> "_FreeFlow":
-        if nu == 0.0:
-            return cls(grid)
         n = grid.n_eta
         k = grid.k_values[:, None]
         eta = grid.eta
-        foot = _characteristic(-dt, k, eta, nu)
-        damp = np.exp(s_general_exponent(dt, 0.0, k, foot, nu))
-        u = foot / grid.d_eta + grid.i_zero
+        if nu > 0.0:
+            foot = _characteristic(-dt, k, eta, nu)
+            u = foot / grid.d_eta + grid.i_zero
+            damp = np.exp(s_general_exponent(dt, 0.0, k, foot, nu))
+            image = _characteristic(dt, k, eta, nu)
+            gone = (image < eta[0]) | (image >= grid.eta_max)
+            fade = np.exp(s_general_exponent(dt, 0.0, k, eta, nu))
+        else:
+            shift = k * (dt / grid.d_eta)
+            u = np.arange(n) + shift
+            foot = (u - grid.i_zero) * grid.d_eta
+            damp = fade = np.ones(u.shape)
+            image = np.arange(n) - shift
+            gone = (image < 0) | (image >= n)
         cell = np.floor(u)
         lagrange = _lagrange_weights(u - cell)
         start = cell.astype(np.intp) + _NODES[0]
@@ -417,13 +408,11 @@ class _FreeFlow:
         inside = (src >= 0) & (src < len(_NODES))
         weights = np.where(inside, np.take_along_axis(
             lagrange, np.clip(src, 0, len(_NODES) - 1), axis=0), 0.0) * damp
-        image = _characteristic(dt, k, eta, nu)
-        gone = (image < eta[0]) | (image >= grid.eta_max)
-        fade = np.exp(s_general_exponent(dt, 0.0, k, eta, nu))
+        # resample reads no defect, so the plan that measures it has none
         plan = cls(grid, *(_read_only(a) for a in (
             first + n * np.arange(grid.n_k)[:, None], weights,
             first.min(axis=0), first.max(axis=0), np.flatnonzero(gone),
-            fade[gone])))
+            fade[gone])), defect=None)
         defect = (mu_hat(foot) * damp
                   - plan.resample(np.tile(mu_hat(eta), (grid.n_k, 1))))
         return replace(plan, defect=_read_only(defect))
@@ -475,8 +464,6 @@ class _FreeFlow:
         array; term and index are resample's scratch.  Raises
         AliasingError, before anything is computed, when the amplitude the
         flow carries off the window is significant."""
-        if self.base is None:
-            return transport_step(y, self.grid)
         _check_dropped(y.reshape(-1).take(self.drop) * self.fade, y)
         out = self.resample(y, term, index)
         out += np.multiply(y[:, self.grid.i_zero, None], self.defect, out=term)
@@ -535,7 +522,7 @@ class Stepper:
         # two scratch blocks for the guards, the free flow's terms and the
         # RHS's stencil and rank-1 terms, and the free flow's node indices
         self._tmp, self._aux = np.empty((2,) + shape)
-        self._index = np.empty(n * n_eta, dtype=np.intp) if nu > 0 else None
+        self._index = np.empty(n * n_eta, dtype=np.intp)
         if mode == "full":
             # the three RK4 stages, the RHS's three coefficient rows, the
             # flat index of their stacked (3 n_k x n_k) convolution matrix
@@ -746,8 +733,7 @@ def _stepper(grid: PhaseGrid, w: InteractionKernel, nu: float = 0.0,
              mode: str = "free") -> Stepper:
     """The cached stepper, keyed on the whole grid, the kernel's row values,
     nu and mode.  The readouts, which depend on the grid and the kernel
-    only, use the nu = 0 free-mode stepper, whose free flow holds no plan
-    arrays and which has no RK4 buffers."""
+    only, use the nu = 0 free-mode stepper, which has no RK4 buffers."""
     w_row = tuple(w(k) if k != 0 else 0.0
                   for k in range(-grid.k_max, grid.k_max + 1))
     return _cached_stepper(grid, w_row, nu, mode)

@@ -44,10 +44,10 @@ class TestInteractionKernel:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):
-            InteractionKernel(label="bad", table={1: -0.5})
+            InteractionKernel(table={1: -0.5})
 
     def test_missing_modes_weigh_zero(self):
-        w = InteractionKernel(label="custom", table={1: 0.7, -1: 0.7})
+        w = InteractionKernel(table={1: 0.7, -1: 0.7})
         assert w(5) == 0.0
 
 

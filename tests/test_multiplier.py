@@ -129,10 +129,17 @@ class TestNormSpec:
         {"c": float("inf")},
         {"m": float("nan")},
         {"m": float("inf")},
+        {"m": 2.0},
+        {"m": np.float64(2.0)},
+        {"m": True},
+        {"m": 9},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(DomainError):
             NormSpec(**kwargs)
+
+    def test_numpy_integer_depth_accepted(self):
+        assert NormSpec(m=np.int64(8)).m == 8
 
 
 class TestAWeight:
@@ -224,6 +231,14 @@ class TestNormD:
 
 
 class TestNormSobolevMoment:
+    @pytest.mark.parametrize("q", [9, 50, 2.0, True, -1, float("nan"),
+                                   float("inf")])
+    def test_zero_field_validates_the_budget(self, q):
+        # the budget is checked before the field is read, so a zero field
+        # rejects what a nonzero one does
+        with pytest.raises(DomainError, match="moment budget"):
+            norm_sobolev_moment(SpectralField.zeros(small_grid()), s=0.0, q=q)
+
     def test_gaussian_zero_mode(self):
         grid = small_grid(eta_max=24.0, n_eta=512)
         f = SpectralField.zeros(grid)

@@ -2,12 +2,12 @@
 
 Oracles: the drift-diffusion flow is checked against a method-of-lines
 integration (solve_ivp, FFT eta-derivative), and the free flow S against
-its closed form and a per-call reference; collisionless transport against
-exact shifts and the phase-mixing law; moments against
-Gauss-Hermite quadrature in physical variables; the composed step against
-Richardson self-convergence and the independently discretized density
-equation.  Everything else is structural: exact fixed points, exact
-conservation columns, guard trips.
+its closed form and a per-call reference; at nu = 0, where S is the
+collisionless transport, against whole-column shifts and the phase-mixing
+law; moments against Gauss-Hermite quadrature in physical variables; the
+composed step against Richardson self-convergence and the independently
+discretized density equation.  Everything else is structural: exact fixed
+points, exact conservation columns, guard trips.
 """
 
 import math
@@ -28,7 +28,7 @@ from vpfp.linear_theory import (InteractionKernel, VolterraProblem,
 from vpfp.solver import (HydroMoments, InitialData, Mode, Stepper, _FreeFlow,
                          _cached_stepper, _eta_stencils, _stepper,
                          compute_moments, conserved_quantities, init_state,
-                         march, run_simulation, step, transport_step)
+                         march, run_simulation, step)
 
 
 def small_grid(k_max=2, eta_max=16.0, n_eta=256):
@@ -114,19 +114,20 @@ class TestConvMatrix:
 
 
 class TestTransportStep:
+    # the collisionless free flow S(dt): the nu = 0 free-flow plan
     def test_zero_mode_row_unchanged(self):
         g = small_grid()
         f = SpectralField.zeros(g)
         f.data[g.k_index(0)] = np.exp(-g.eta ** 2 / 2)
         before = f.data[g.k_index(0)].copy()
-        f.data = transport_step(f.data, g)
+        f.data = _FreeFlow.build(g, 0.0, g.dt)(f.data)
         assert np.array_equal(f.data[g.k_index(0)], before)
 
     def test_delta_shifts_one_cell(self):
         g = small_grid()
         f = SpectralField.zeros(g)
         f.data[g.k_index(1), g.i_zero] = 1.0
-        f.data = transport_step(f.data, g)
+        f.data = _FreeFlow.build(g, 0.0, g.dt)(f.data)
         # reading h(eta + k dt): the stored sample moves one cell down
         assert f.data[g.k_index(1), g.i_zero - 1] == 1.0
         assert f.data[g.k_index(1), g.i_zero] == 0.0
@@ -140,8 +141,9 @@ class TestTransportStep:
             f.data[g.k_index(k)] = row
             datum[k] = row.copy()
         n_steps = 12
+        flow = _FreeFlow.build(g, 0.0, g.dt)
         for _ in range(n_steps):
-            f.data = transport_step(f.data, g)
+            f.data = flow(f.data)
         for k in (-2, -1, 1, 2):
             shift = k * n_steps
             got = f.data[g.k_index(k)]
@@ -155,8 +157,9 @@ class TestTransportStep:
         f, _ = init_state(InitialData(eps=0.1, modes=(Mode(1, 1.0, 0.0, 1.0),)), g, w)
         r0 = abs(f.data[g.k_index(1), g.i_zero])
         worst = 0.0
+        flow = _FreeFlow.build(g, 0.0, g.dt)
         for n in range(1, 81):
-            f.data = transport_step(f.data, g)
+            f.data = flow(f.data)
             t = n * g.dt
             worst = max(worst, abs(abs(f.data[g.k_index(1), g.i_zero])
                                    - r0 * np.exp(-t * t / 2.0)))
@@ -166,9 +169,10 @@ class TestTransportStep:
         g = small_grid(k_max=1, eta_max=8.0, n_eta=64)
         f = SpectralField.zeros(g)
         f.data[g.k_index(1)] = np.exp(-(g.eta + 7.0) ** 2 / 2.0)
+        flow = _FreeFlow.build(g, 0.0, g.dt)
         with pytest.raises(AliasingError):
             for _ in range(16):
-                f.data = transport_step(f.data, g)
+                f.data = flow(f.data)
 
 
 class TestPhaseGrid:
@@ -212,6 +216,21 @@ def closed_form_flow(g, nu, dt, datum):
     k = g.k_values[:, None]
     foot = math.exp(-nu * dt) * g.eta - k * math.expm1(-nu * dt) / nu
     return datum(k, foot) * np.exp(s_general_exponent(dt, 0.0, k, foot, nu))
+
+
+def ref_shear(g, y):
+    """The collisionless free flow h(k, eta) <- h(k, eta + k dt) of the rows
+    y in whole columns: row k's interior is y's row shifted by k columns,
+    and its k inflow columns the Maxwellian's image y(k, 0) mu(eta + k dt).
+    Returns the flow, the mask of its interior and the mask of the entries
+    of y it carries off the window."""
+    j = np.arange(g.n_eta)
+    foot = j + g.k_values[:, None]
+    inside = (foot >= 0) & (foot < g.n_eta)
+    shifted = np.take_along_axis(y, np.clip(foot, 0, g.n_eta - 1), axis=1)
+    image = y[:, g.i_zero, None] * mu_hat((foot - g.i_zero) * g.d_eta)
+    lost = (j - g.k_values[:, None] < 0) | (j - g.k_values[:, None] >= g.n_eta)
+    return np.where(inside, shifted, image), inside, lost
 
 
 def ref_free_flow(g, nu, dt, y):
@@ -483,19 +502,47 @@ class TestOuStep:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(y))
 
     def test_nu0_plan_is_the_integer_shift(self):
-        # bit for bit, zeros included, on rough rows and on a marched state
+        # bit for bit on rough rows: the interior of row k is its shift by
+        # k columns, and its k inflow columns carry the Maxwellian's image
+        # y(k, 0) mu(eta + k dt).  A point sums six products and the defect
+        # term, so a zero keeps its sign only when all seven are -0.0.
         g = small_grid()
         plan = _stepper(g, coulomb(2), 0.0, "full").flow
-        assert plan.weights is None
         y = self.rough_rows(np.random.default_rng(5), g.n_k, g.n_eta)
         y[:, :3] = y[:, -3:] = 0.0
-        want = np.zeros_like(y)
-        for i, k in enumerate(g.k_values):
-            if k >= 0:
-                want[i, :g.n_eta - k] = y[i, k:]
-            else:
-                want[i, -k:] = y[i, :g.n_eta + k]
-        assert plan(y).tobytes() == want.tobytes()
+        got = plan(y)
+        want, inside, _ = ref_shear(g, y)
+        kept = inside & (want != 0.0)
+        assert got[kept].tobytes() == want[kept].tobytes()
+        assert not got[inside & ~kept].any()
+        assert got[~inside].tobytes() == want[~inside].tobytes()
+
+    @pytest.mark.parametrize("k_max,eta_max,n_eta", [
+        (2, 16.0, 256), (3, 10.0, 96), (3, 15.0, 900), (2, 7.3, 40)])
+    def test_nu0_plan_is_column_arithmetic(self, k_max, eta_max, n_eta):
+        # the feet and images are counted in columns, so on dyadic and
+        # non-dyadic spacings alike the plan is the exact shift
+        g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
+                      dt=2.0 * eta_max / n_eta)
+        plan = _FreeFlow.build(g, 0.0, g.dt)
+        rng = np.random.default_rng(n_eta)
+        y = rng.standard_normal((g.n_k, n_eta)) * np.exp(-g.eta ** 2)
+        want, inside, lost = ref_shear(g, y)
+        assert plan(y)[inside].tobytes() == want[inside].tobytes()
+        assert np.array_equal(plan.drop, np.flatnonzero(lost))
+        c = rng.standard_normal((g.n_k, 1))
+        maxwellian = c * mu_hat(g.eta)
+        if eta_max < 10.0:
+            # mu at this window's edge is above the dropped-amplitude guard
+            with pytest.raises(AliasingError, match="dropped amplitude"):
+                plan(maxwellian)
+            return
+        got = plan(maxwellian)
+        foot = np.arange(n_eta) + g.k_values[:, None]
+        image = c * mu_hat((foot - g.i_zero) * g.d_eta)
+        assert got.tobytes() == image.tobytes()
+        i0 = g.k_index(0), g.i_zero
+        assert got[i0].tobytes() == maxwellian[i0].tobytes()
 
     def test_dropped_amplitude_raises(self):
         # content that the flow carries past the window edge, on a row
@@ -524,7 +571,7 @@ class TestOuStep:
         assert not np.array_equal(sa.flow.defect, sb.flow.defect)
         assert _stepper(small_grid(eta_max=16.0, n_eta=256), w, 0.1,
                         "full") is sa
-        custom = InteractionKernel(label="custom", table={1: 0.7, -1: 0.7})
+        custom = InteractionKernel(table={1: 0.7, -1: 0.7})
         others = [_stepper(a, custom, 0.1, "full"),
                   _stepper(a, w, 0.2, "full"), _stepper(a, w, 0.1, "linear")]
         assert all(o is not sa for o in others)
@@ -1086,10 +1133,8 @@ class TestStepPlan:
 
     def test_readouts_hold_no_step_buffers(self):
         # compute_moments and conserved_quantities read the nu = 0
-        # free-mode stepper, whose free flow is the integer shift, with no
-        # plan arrays, and which has no RK4 buffers
+        # free-mode stepper, which has no RK4 buffers
         s = _stepper(small_grid(), coulomb(2))
-        assert s.flow.weights is None and s._index is None
         assert not hasattr(s, "_acc") and not hasattr(s, "_prod")
 
     @pytest.mark.parametrize("mode", ["linear", "free"])
@@ -1101,8 +1146,7 @@ class TestStepPlan:
     def test_kernels_on_one_grid_get_their_own_rows(self):
         g = small_grid(k_max=2)
         f = self.seeded_field(g, 3)
-        custom = InteractionKernel(
-            label="custom", table={1: 0.7, -1: 0.7, 2: 0.05, -2: 0.05})
+        custom = InteractionKernel(table={1: 0.7, -1: 0.7, 2: 0.05, -2: 0.05})
         e_rows = []
         for w in (coulomb(2), custom):
             e = compute_moments(f, w).e_field
@@ -1165,9 +1209,9 @@ class TestStep:
         g = small_grid(k_max=2, eta_max=16.0, n_eta=256)
         w = coulomb(2)
         f, _ = init_state(InitialData(eps=0.1, modes=(Mode(1, 1.0, 0.0, 1.0),)), g, w)
-        manual = transport_step(f.data, g)
+        manual, _, _ = ref_shear(g, f.data)
         step(f, 0.0, w, "free")
-        # step symmetrizes the unpaired left-edge column after transport,
+        # step symmetrizes the unpaired left-edge column after the shift,
         # so the manual route needs the same pass before comparing bits
         manual = 0.5 * (manual + mirrored(manual))
         assert np.array_equal(f.data, manual)
@@ -1206,9 +1250,10 @@ class TestStep:
         f, _ = init_state(InitialData(eps=1e-3, modes=(Mode(1, 1.0),)), g, w)
         data, time = f.data.tobytes(), f.time
         substeps = []
-        for name in ("_stepper", "transport_step"):
-            monkeypatch.setattr(solver, name,
-                                lambda *a, name=name: substeps.append(name))
+        monkeypatch.setattr(solver, "_stepper",
+                            lambda *a: substeps.append("_stepper"))
+        monkeypatch.setattr(_FreeFlow, "__call__",
+                            lambda *a: substeps.append("_FreeFlow"))
         with pytest.raises(DomainError, match="collision frequency"):
             step(f, nu, w, mode)
         assert substeps == []
