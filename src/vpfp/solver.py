@@ -354,9 +354,10 @@ class _FreeFlow:
     characteristic through eta left a step earlier (semigroup's
     _characteristic at -dt) and the exponential is the exact damping along
     it.  With nu = 0 the foot is eta + k dt and there is no damping; the
-    feet and the images are then counted in columns, so on a grid whose dt
-    is its spacing they are whole columns, the weights are exactly 0, 0, 1,
-    0, 0, 0 and the flow is the integer shift of each row.
+    feet and the images are then counted in columns of width grid.dt, which
+    PhaseGrid holds to the spacing, so with dt = grid.dt they are whole
+    columns even where the two differ by rounding, the weights are exactly
+    0, 0, 1, 0, 0, 0 and the flow is the integer shift of each row.
 
     h(k, foot) is interpolated through the six nodes around the foot, so
     polynomials of degree 5 are carried exactly.  base is the flat index of
@@ -393,7 +394,7 @@ class _FreeFlow:
             gone = (image < eta[0]) | (image >= grid.eta_max)
             fade = np.exp(s_general_exponent(dt, 0.0, k, eta, nu))
         else:
-            shift = k * (dt / grid.d_eta)
+            shift = k * (dt / grid.dt)
             u = np.arange(n) + shift
             foot = (u - grid.i_zero) * grid.d_eta
             damp = fade = np.ones(u.shape)

@@ -233,6 +233,34 @@ def ref_shear(g, y):
     return np.where(inside, shifted, image), inside, lost
 
 
+def ref_nu0_sums(g, y):
+    """The nu = 0 flow of the rows y added up as the plan adds it up, with
+    every foot a whole column: at each point the six node products in node
+    order, then y(k, 0) times the defect, the Maxwellian's image minus the
+    same sum over mu.  The nodes move inside the window at its edges, a
+    moved node weighing +0.0, and the weights at a whole column are
+    0, -0, 1, 0, -0, 0 as the Lagrange product rounds them; so the sum
+    predicts the sign of every zero."""
+    n = g.n_eta
+    cell = np.arange(n) + g.k_values[:, None]
+    first = np.clip(cell - 2, 0, n - 6)
+    src = first - (cell - 2) + np.arange(6)[:, None, None]
+    at_zero = np.array([0.0, -0.0, 1.0, 0.0, -0.0, 0.0])
+    weights = np.where((src >= 0) & (src < 6), at_zero[np.clip(src, 0, 5)],
+                       0.0)
+
+    def node_sum(rows):
+        acc = weights[0] * np.take_along_axis(rows, first, axis=1)
+        for j in range(1, 6):
+            acc = acc + weights[j] * np.take_along_axis(rows, first + j,
+                                                        axis=1)
+        return acc
+
+    mu = np.tile(mu_hat(g.eta), (g.n_k, 1))
+    defect = mu_hat((cell - g.i_zero) * g.d_eta) - node_sum(mu)
+    return node_sum(y) + y[:, g.i_zero, None] * defect
+
+
 def ref_free_flow(g, nu, dt, y):
     """S(dt) of the rows y rebuilt per call: the closed-form foot, the
     Lagrange weights of the six nodes around it in absolute column
@@ -505,25 +533,34 @@ class TestOuStep:
         # bit for bit on rough rows: the interior of row k is its shift by
         # k columns, and its k inflow columns carry the Maxwellian's image
         # y(k, 0) mu(eta + k dt).  A point sums six products and the defect
-        # term, so a zero keeps its sign only when all seven are -0.0.
+        # term, so a zero keeps its sign only when all seven are -0.0; the
+        # sums in node order give every entry's bytes, zeros included.
         g = small_grid()
         plan = _stepper(g, coulomb(2), 0.0, "full").flow
         y = self.rough_rows(np.random.default_rng(5), g.n_k, g.n_eta)
         y[:, :3] = y[:, -3:] = 0.0
         got = plan(y)
+        assert got.tobytes() == ref_nu0_sums(g, y).tobytes()
         want, inside, _ = ref_shear(g, y)
         kept = inside & (want != 0.0)
         assert got[kept].tobytes() == want[kept].tobytes()
-        assert not got[inside & ~kept].any()
+        assert np.array_equal(got[inside], want[inside])
         assert got[~inside].tobytes() == want[~inside].tobytes()
 
-    @pytest.mark.parametrize("k_max,eta_max,n_eta", [
-        (2, 16.0, 256), (3, 10.0, 96), (3, 15.0, 900), (2, 7.3, 40)])
-    def test_nu0_plan_is_column_arithmetic(self, k_max, eta_max, n_eta):
+    @pytest.mark.parametrize("k_max,eta_max,n_eta,dt", [
+        pytest.param(2, 16.0, 256, None, id="2-16.0-256"),
+        pytest.param(3, 10.0, 96, None, id="3-10.0-96"),
+        pytest.param(3, 15.0, 900, None, id="3-15.0-900"),
+        pytest.param(2, 7.3, 40, None, id="2-7.3-40"),
+        # built as experiments._window builds it, eta_max = 53 * 0.2: the
+        # spacing 2 eta_max / n_eta is 0.2 plus one ulp
+        pytest.param(2, 53 * 0.2, 106, 0.2, id="window-0.2-53")])
+    def test_nu0_plan_is_column_arithmetic(self, k_max, eta_max, n_eta, dt):
         # the feet and images are counted in columns, so on dyadic and
-        # non-dyadic spacings alike the plan is the exact shift
+        # non-dyadic spacings alike, and with dt off the spacing by
+        # rounding, the plan is the exact shift
         g = PhaseGrid(k_max=k_max, eta_max=eta_max, n_eta=n_eta,
-                      dt=2.0 * eta_max / n_eta)
+                      dt=dt or 2.0 * eta_max / n_eta)
         plan = _FreeFlow.build(g, 0.0, g.dt)
         rng = np.random.default_rng(n_eta)
         y = rng.standard_normal((g.n_k, n_eta)) * np.exp(-g.eta ** 2)
